@@ -12,8 +12,7 @@ from .information import (InformationResult, TraceDensities,
                           identifiability_profile, information_matrix,
                           information_matrix_mc, trace_densities)
 from .likelihood import (QuasiLikEngine, StructuredCov, build_S,
-                         dense_quasi_loglik, grad_H, hess_H, quasi_loglik,
-                         quasi_loglik_dense)
+                         dense_quasi_loglik)
 from .models import MODELS, correlated_bm, get_model, scalar_bm, state_dependent
 from .scheme import (ObservationGrid, OverlapMatrix, SchemeDiagnostics,
                      check_a2, diag_power_traces, load_grid_csv,

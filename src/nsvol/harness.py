@@ -10,6 +10,8 @@ execution order and thread count.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +39,8 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-CSV_HEADER = "seed,n,coord,sigma_hat,sigma_tilde,gamma_n,score_n,hy,plugin,wall_ms"
+CSV_HEADER = ("rep,n,coord,sigma_hat,sigma_tilde,gamma_n,score_n,hy,plugin,"
+              "error,wall_ms")
 
 
 @dataclass
@@ -268,25 +271,20 @@ def _normality_block(stud):
 # ---------------------------------------------------------------------------
 
 
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_report(report: MonteCarloReport, format="csv", path=None,
                 include_timings=False):
     """Write the report as CSV rows or a JSON document.
 
     CSV explodes each replicate into one row per coordinate; matrix-valued
-    columns carry that coordinate's diagonal entry.  Timing columns are
-    zeroed by default so identical configurations produce byte-identical
-    files across runs and thread counts.
+    columns carry that coordinate's diagonal entry, and a failed replicate
+    carries its message in ``error`` (quoted when it holds a comma).
+    Timing columns are zeroed by default so identical configurations
+    produce byte-identical files across runs and thread counts.
     """
     if format == "csv":
-        lines = [CSV_HEADER]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
         d = len(report.config.sigma_star)
         for row in report.rows:
             for coord in range(d):
@@ -296,10 +294,9 @@ def emit_report(report: MonteCarloReport, format="csv", path=None,
                 gam = row.gamma_n[coord][coord] if row.gamma_n else None
                 sco = row.score_n[coord] if row.score_n else None
                 wall = row.wall_ms if include_timings else 0.0
-                cells = [row.rep, row.n, coord, hat, tilde, gam, sco,
-                         row.hy, row.plugin, wall]
-                lines.append(",".join(_csv_cell(c) for c in cells))
-        text = "\n".join(lines) + "\n"
+                writer.writerow([row.rep, row.n, coord, hat, tilde, gam, sco,
+                                 row.hy, row.plugin, row.error, wall])
+        text = buf.getvalue()
     elif format == "json":
         doc = {
             "config": report.config.to_dict(),

@@ -11,15 +11,15 @@ tick, and ``G`` is the interval-overlap matrix.  The quasi-log-likelihood
 
     H(sigma) = -1/2 Z' S(sigma)^{-1} Z - 1/2 log det S(sigma)
 
-(no 2*pi constant) is evaluated either densely or through a banded Schur
-complement: eliminating the larger diagonal block leaves
+(no 2*pi constant) is evaluated through a banded Schur complement:
+eliminating the larger diagonal block leaves
 ``C = D_small - M' D_big^{-1} M``, which inherits a bandwidth bounded by
-the overlap bandwidth and factors in O(n w^2).
+the overlap bandwidth and factors in O(n w^2) on every grid.  The dense
+evaluation ``dense_quasi_loglik`` is kept as the test oracle.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 import warnings
 from collections import OrderedDict
@@ -29,6 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from . import banded
 from .errors import EstimationError, NotPositiveDefiniteError
 from .scheme import OverlapMatrix, overlap_matrix
 from .sde import DiffusionModel, NonsyncSample
@@ -37,24 +38,11 @@ __all__ = [
     "StructuredCov",
     "QuasiLikEngine",
     "build_S",
-    "quasi_loglik",
-    "quasi_loglik_dense",
-    "grad_H",
-    "hess_H",
     "dense_quasi_loglik",
 ]
 
-#: Beyond this Schur-complement bandwidth the engine falls back to the
-#: dense path (with a warning): adversarial grids exist, but realistic
-#: schemes stay in single digits.
-BANDWIDTH_LIMIT = 128
-
-_MINOR_RE = re.compile(r"(\d+)-th leading minor")
-
-
-def _pivot_from_message(msg):
-    m = _MINOR_RE.search(str(msg))
-    return int(m.group(1)) - 1 if m else None
+#: Factorizations kept per engine (most recently used parameters).
+_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,22 +131,10 @@ def dense_quasi_loglik(S, z):
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"dense factorization failed: {exc}",
-            pivot=_pivot_from_message(exc)) from exc
+            pivot=banded.pivot_from_message(exc)) from exc
     logdet = 2.0 * np.log(np.diag(cf[0])).sum()
     x = sla.cho_solve(cf, z)
     return float(-0.5 * z @ x - 0.5 * logdet)
-
-
-def _upper_band_of(P, hw, nB):
-    """Upper banded layout of a sparse symmetric matrix within ``hw``."""
-    P = P.tocoo()
-    band = np.zeros((hw + 1, nB))
-    keep = P.row <= P.col
-    r, c, v = P.row[keep], P.col[keep], P.data[keep]
-    if r.size and int((c - r).max()) > hw:
-        raise AssertionError("Schur complement exceeded overlap bandwidth")
-    np.add.at(band, (hw + r - c, c), v)
-    return band
 
 
 class _BandedFactor:
@@ -192,16 +168,11 @@ class _BandedFactor:
             self._rmv = Mt.__matmul__
         if gram_band is None:
             W = M.multiply((1.0 / np.sqrt(dA))[:, None]).tocsr()
-            band = -_upper_band_of(W.T @ W, hw, nB)
+            band = -banded.upper_band(W.T @ W, hw, nB)
         else:
             band = (-gram_scale) * gram_band
         band[hw, :] += dB
-        try:
-            self.cb = sla.cholesky_banded(band, lower=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                f"banded factorization failed: {exc}",
-                pivot=_pivot_from_message(exc)) from exc
+        self.cb = banded.cholesky(band)
         self.logdet = float(np.log(dA).sum() + 2.0 * np.log(self.cb[hw, :]).sum())
         self._cinv_band = None
 
@@ -212,74 +183,33 @@ class _BandedFactor:
         return xA, xB
 
     def inv_band(self):
-        """Banded part of ``C^{-1}``: entries within ``hw`` of the diagonal."""
+        """Upper-band layout of ``C^{-1}`` within ``hw`` of the diagonal."""
         if self._cinv_band is None:
-            nB = self.dB.size
-            hw = self.hw
-            out = np.zeros((2 * hw + 1, nB))
-            chunk = max(1, min(512, nB))
-            for start in range(0, nB, chunk):
-                stop = min(start + chunk, nB)
-                rhs = np.zeros((nB, stop - start))
-                rhs[np.arange(start, stop), np.arange(stop - start)] = 1.0
-                sol = sla.cho_solve_banded((self.cb, False), rhs)
-                for local, c in enumerate(range(start, stop)):
-                    r0, r1 = max(0, c - hw), min(nB, c + hw + 1)
-                    out[hw + np.arange(r0, r1) - c, c] = sol[r0:r1, local]
-            self._cinv_band = out
+            self._cinv_band = banded.selected_inverse(self.cb)
         return self._cinv_band
 
     def inv_block(self, run):
         """Dense ``C^{-1}[run, run]`` for a short contiguous index run."""
-        cinvb = self.inv_band()
-        hw = self.hw
-        r = run[:, None]
-        c = run[None, :]
-        return cinvb[hw + r - c, c]
-
-
-class _DenseFactor:
-    def __init__(self, S):
-        try:
-            self.cf = sla.cho_factor(S, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                f"dense factorization failed: {exc}",
-                pivot=_pivot_from_message(exc)) from exc
-        self.logdet = float(2.0 * np.log(np.diag(self.cf[0])).sum())
-
-    def solve(self, z):
-        return sla.cho_solve(self.cf, z)
-
-    def inv(self):
-        return sla.cho_solve(self.cf, np.eye(self.cf[0].shape[0]))
+        lo = np.minimum.outer(run, run)
+        hi = np.maximum.outer(run, run)
+        return self.inv_band()[self.hw + lo - hi, hi]
 
 
 class QuasiLikEngine:
     """Factorized evaluation of the quasi-log-likelihood and derivatives.
 
-    Modes: ``"banded"`` (Schur-complement path), ``"dense"``, or ``"auto"``
-    (banded unless the Schur bandwidth exceeds ``bandwidth_limit``, then
-    dense with a performance warning).  ``cross_check=True`` evaluates both
-    paths on every call and enforces 1e-8 relative agreement.
-
-    Factorizations are cached per parameter vector behind a lock, so
+    Every evaluation goes through the banded Schur complement, whose
+    bandwidth the overlap bandwidth bounds on every grid; ``loglik_dense``
+    is the independent oracle.  Factorizations are cached per parameter vector behind a lock, so
     concurrent evaluations at different parameters are safe.
     """
 
-    def __init__(self, model: DiffusionModel, sample: NonsyncSample,
-                 mode="auto", cross_check=False,
-                 bandwidth_limit=BANDWIDTH_LIMIT, cache_size=16):
-        if mode not in ("auto", "banded", "dense"):
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, model: DiffusionModel, sample: NonsyncSample):
         self.model = model
         self.sample = sample
         self.grid = sample.grid
         self.overlap = overlap_matrix(sample.grid)
         self.z = sample.z
-        self.mode = mode
-        self.cross_check = cross_check
-        self.bandwidth_limit = bandwidth_limit
         self._n1 = self.grid.n_intervals1
         self._n2 = self.grid.n_intervals2
         self._swap = self._n2 > self._n1
@@ -303,18 +233,16 @@ class QuasiLikEngine:
             self._t_struct = None
             self._G_or = self.overlap.csr
             self._zA, self._zB = self.z[:self._n1], self.z[self._n1:]
-        if model.constant_coeffs and self._hw <= bandwidth_limit:
+        if model.constant_coeffs:
             nB = self._n1 if self._swap else self._n2
-            self._gram_band0 = _upper_band_of(self._G_or.T @ self._G_or,
-                                              self._hw, nB)
+            self._gram_band0 = banded.upper_band(self._G_or.T @ self._G_or,
+                                                 self._hw, nB)
             self._G_orT = self._G_or.T.tocsr()
         else:
             self._gram_band0 = None
             self._G_orT = None
         self._cache = OrderedDict()
-        self._cache_size = cache_size
         self._lock = threading.Lock()
-        self._warned_bandwidth = False
 
     # -- assembly -----------------------------------------------------
 
@@ -331,21 +259,6 @@ class QuasiLikEngine:
                            shape=(self._n2, self._n1))
         return cov.d2, cov.d1, Mt, z2, z1
 
-    def _use_banded(self):
-        if self.mode == "dense":
-            return False
-        if self.mode == "banded":
-            return True
-        if self._hw > self.bandwidth_limit:
-            if not self._warned_bandwidth:
-                warnings.warn(
-                    f"Schur bandwidth {self._hw} exceeds limit "
-                    f"{self.bandwidth_limit}; falling back to dense evaluation",
-                    RuntimeWarning, stacklevel=3)
-                self._warned_bandwidth = True
-            return False
-        return True
-
     def _factor(self, sigma):
         key = tuple(np.asarray(sigma, dtype=float).tolist())
         with self._lock:
@@ -353,9 +266,7 @@ class QuasiLikEngine:
             if hit is not None:
                 self._cache.move_to_end(key)
                 return hit
-        if not self._use_banded():
-            factor = _DenseFactor(self.build(sigma).to_dense())
-        elif self._gram_band0 is not None:
+        if self._gram_band0 is not None:
             self.model.require_in_box(sigma)
             b1, b2 = self.model.coeff_rows(0.0, self.model.y0[None, :],
                                            np.asarray(sigma, dtype=float))
@@ -377,28 +288,18 @@ class QuasiLikEngine:
             factor = _BandedFactor(dA, dB, M, self._hw)
         with self._lock:
             self._cache[key] = factor
-            while len(self._cache) > self._cache_size:
+            while len(self._cache) > _CACHE_SIZE:
                 self._cache.popitem(last=False)
         return factor
 
     # -- values ---------------------------------------------------------
 
     def loglik(self, sigma):
-        """Quasi-log-likelihood at ``sigma`` (mode-selected path)."""
+        """Quasi-log-likelihood at ``sigma`` (banded Schur path)."""
         factor = self._factor(sigma)
-        if isinstance(factor, _BandedFactor):
-            xA, xB = factor.solve_parts(self._zA, self._zB)
-            value = float(-0.5 * (self._zA @ xA + self._zB @ xB)
-                          - 0.5 * factor.logdet)
-        else:
-            x = factor.solve(self.z)
-            value = float(-0.5 * self.z @ x - 0.5 * factor.logdet)
-        if self.cross_check:
-            ref = self.loglik_dense(sigma)
-            if abs(value - ref) > 1e-8 * (1.0 + abs(ref)):
-                raise RuntimeError(
-                    f"banded/dense cross-check failed: {value!r} vs {ref!r}")
-        return value
+        xA, xB = factor.solve_parts(self._zA, self._zB)
+        return float(-0.5 * (self._zA @ xA + self._zB @ xB)
+                     - 0.5 * factor.logdet)
 
     def loglik_dense(self, sigma):
         """Dense-oracle evaluation, independent of the banded path."""
@@ -487,41 +388,33 @@ class QuasiLikEngine:
         factor = self._factor(sigma)
         dd1, dd2, dvals, rows, cols = self._coupling_dsigma(sigma)
         d = self.model.dim_param
-        if isinstance(factor, _DenseFactor):
-            Sinv = factor.inv()
-            x = factor.solve(self.z)
-            x1, x2 = x[:self._n1], x[self._n1:]
-            diag1 = np.diag(Sinv)[:self._n1]
-            diag2 = np.diag(Sinv)[self._n1:]
-            cross = Sinv[rows, self._n1 + cols]
+        dA = factor.dA
+        M = factor.M
+        if M is None:  # constant-coefficient fast path stores scale only
+            M = self._G_or * factor.coupling_scale
+        xA, xB = factor.solve_parts(self._zA, self._zB)
+        x1, x2 = (xB, xA) if self._swap else (xA, xB)
+        diagB = factor.inv_band()[factor.hw, :]
+        nA = dA.size
+        diagA = np.empty(nA)
+        crossA = np.empty(M.nnz)
+        indptr, indices, data = M.indptr, M.indices, M.data
+        for i in range(nA):
+            lo, hi = indptr[i], indptr[i + 1]
+            run = indices[lo:hi]
+            v = data[lo:hi]
+            block = factor.inv_block(run)
+            w = v @ block
+            crossA[lo:hi] = -w / dA[i]
+            diagA[i] = 1.0 / dA[i] + (w @ v) / dA[i] ** 2
+        if self._swap:
+            diag1, diag2 = diagB, diagA
+            # crossA follows the transposed pattern; map to overlap order.
+            cross = np.empty_like(crossA)
+            cross[self._perm] = crossA
         else:
-            dA = factor.dA
-            M = factor.M
-            if M is None:  # constant-coefficient fast path stores scale only
-                M = self._G_or * factor.coupling_scale
-            xA, xB = factor.solve_parts(self._zA, self._zB)
-            x1, x2 = (xB, xA) if self._swap else (xA, xB)
-            diagB = factor.inv_band()[factor.hw, :]
-            nA = dA.size
-            diagA = np.empty(nA)
-            crossA = np.empty(M.nnz)
-            indptr, indices, data = M.indptr, M.indices, M.data
-            for i in range(nA):
-                lo, hi = indptr[i], indptr[i + 1]
-                run = indices[lo:hi]
-                v = data[lo:hi]
-                block = factor.inv_block(run)
-                w = v @ block
-                crossA[lo:hi] = -w / dA[i]
-                diagA[i] = 1.0 / dA[i] + (w @ v) / dA[i] ** 2
-            if self._swap:
-                diag1, diag2 = diagB, diagA
-                # crossA follows the transposed pattern; map to overlap order.
-                cross = np.empty_like(crossA)
-                cross[self._perm] = crossA
-            else:
-                diag1, diag2 = diagA, diagB
-                cross = crossA
+            diag1, diag2 = diagA, diagB
+            cross = crossA
         grad = np.empty(d)
         for k in range(d):
             quad = (dd1[k] @ (x1 * x1) + dd2[k] @ (x2 * x2)
@@ -566,20 +459,3 @@ class QuasiLikEngine:
             raise EstimationError("non-finite Hessian")
         return H
 
-
-def quasi_loglik(engine: QuasiLikEngine, sigma):
-    """Evaluate the quasi-log-likelihood (banded path when available)."""
-    return engine.loglik(sigma)
-
-
-def quasi_loglik_dense(engine: QuasiLikEngine, sigma):
-    """Dense reference evaluation of the quasi-log-likelihood."""
-    return engine.loglik_dense(sigma)
-
-
-def grad_H(engine: QuasiLikEngine, sigma, method="fd"):
-    return engine.gradient(sigma, method=method)
-
-
-def hess_H(engine: QuasiLikEngine, sigma):
-    return engine.hessian(sigma)

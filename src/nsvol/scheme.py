@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .errors import NotPositiveDefiniteError, SchemeError
+from . import banded
+from .errors import SchemeError
 
 __all__ = [
     "ObservationGrid",
@@ -290,61 +290,22 @@ def operator_norm(overlap: OverlapMatrix, iters=80):
     return math.sqrt(lam)
 
 
-def _gram_banded(overlap, side):
-    """Upper banded storage of I - z^2 * gram, returned as a builder.
-
-    Returns ``(halfbw, band)`` where ``band`` holds the gram matrix in the
-    LAPACK upper-banded layout ``band[halfbw + i - j, j]``.
-    """
-    gram = overlap.gram(side).tocoo()
-    n = overlap.rows if side == 1 else overlap.cols
-    hw = overlap.col_bandwidth if side == 1 else overlap.bandwidth
-    band = np.zeros((hw + 1, n))
-    mask = gram.row <= gram.col
-    r, c, v = gram.row[mask], gram.col[mask], gram.data[mask]
-    if r.size and (c - r).max() > hw:
-        raise AssertionError("gram bandwidth exceeded contiguity bound")
-    np.add.at(band, (hw + r - c, c), v)
-    return hw, band
-
-
-def _resolvent_factor(overlap, z, side):
-    if abs(z) >= 1.0:
-        raise SchemeError(f"|z| must be < 1, got {z}")
-    hw, gram_band = _gram_banded(overlap, side)
-    band = -(z * z) * gram_band
-    band[hw, :] += 1.0
-    try:
-        cb = cholesky_banded(band, lower=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - |z|<1 guards this
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    return hw, cb
-
-
-def _banded_inverse_diag(cb, n, upto=None, chunk=256):
-    """Diagonal entries of the inverse from a banded Cholesky factor.
-
-    Solves against identity columns in chunks; only entries with index
-    below ``upto`` are computed.
-    """
-    m = n if upto is None else min(upto, n)
-    out = np.empty(m)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        rhs = np.zeros((n, stop - start))
-        rhs[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        sol = cho_solve_banded((cb, False), rhs)
-        out[start:stop] = sol[np.arange(start, stop), np.arange(stop - start)]
-    return out
-
-
 def resolvent_diag(overlap, z, side, upto=None):
-    """Diagonal of ``(I - z^2 GG*)^{-1}`` (side 1) or the ``G*G`` analog."""
+    """Diagonal of ``(I - z^2 GG*)^{-1}`` (side 1) or the ``G*G`` analog.
+
+    Only the first ``upto`` entries are returned when ``upto`` is given.
+    """
     n = overlap.rows if side == 1 else overlap.cols
     if z == 0.0:
         return np.ones(n if upto is None else min(upto, n))
-    _, cb = _resolvent_factor(overlap, z, side)
-    return _banded_inverse_diag(cb, n, upto)
+    if abs(z) >= 1.0:
+        raise SchemeError(f"|z| must be < 1, got {z}")
+    # rows of G G* (columns of G* G) interact only within one column's
+    # (row's) contiguous run, so that run's span bounds the bandwidth
+    hw = overlap.col_bandwidth if side == 1 else overlap.bandwidth
+    band = -(z * z) * banded.upper_band(overlap.gram(side), hw, n)
+    band[hw, :] += 1.0
+    return banded.selected_inverse(banded.cholesky(band))[hw, :upto]
 
 
 def resolvent_trace(overlap: OverlapMatrix, z, t=None, side=1):
@@ -632,16 +593,19 @@ def load_grid_json(path, bn=None):
 
 
 def _read_times_csv(path):
-    rows = []
+    times = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.lower().startswith("index"):
                 continue
             idx, time = line.split(",")
-            rows.append((int(idx), float(time)))
-    rows.sort()
-    return np.asarray([t for _, t in rows])
+            idx = int(idx)
+            if idx in times:
+                raise SchemeError(
+                    f"{path}, row {lineno} ({line!r}): duplicate index {idx}")
+            times[idx] = float(time)
+    return np.asarray([times[k] for k in sorted(times)])
 
 
 def load_grid_csv(s_path, t_path, horizon=None, bn=None):

@@ -93,7 +93,7 @@ class TestMc:
                           "--out", str(out_path))
         assert code == 0
         lines = out_path.read_text().strip().split("\n")
-        assert lines[0].startswith("seed,n,coord")
+        assert lines[0].startswith("rep,n,coord")
         assert len(lines) == 1 + 5
 
     def test_assert_failure_exit_code(self, tmp_path, capsys):

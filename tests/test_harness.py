@@ -1,11 +1,14 @@
+import csv
+import io
 import json
 
 import pytest
 
 import nsvol.harness as harness
 from nsvol.errors import EstimationError
-from nsvol.harness import (CSV_HEADER, ExperimentConfig, assert_thresholds,
-                           emit_report, read_report_json, run_mc)
+from nsvol.harness import (CSV_HEADER, ExperimentConfig, MonteCarloReport,
+                           ReplicateRow, assert_thresholds, emit_report,
+                           read_report_json, run_mc)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +120,17 @@ class TestEmitReport:
         path = tmp_path / "r.csv"
         emit_report(small_report, "csv", path)
         assert path.read_text() == text
+
+    def test_csv_error_column_and_rep(self, small_report):
+        message = 'EstimationError: failed at sigma=[1.0, 0.5], "twice"'
+        rows = [ReplicateRow(n=80, rep=4, error=message)]
+        report = MonteCarloReport(small_report.config, rows, {})
+        header, cells = csv.reader(io.StringIO(emit_report(report, "csv")))
+        assert len(cells) == len(header)
+        row = dict(zip(header, cells))
+        assert row["rep"] == "4"
+        assert row["error"] == message
+        assert row["sigma_hat"] == ""
 
     def test_empty_ladder_header_only(self):
         cfg = ExperimentConfig(model="bm1", sigma_star=[1.0], bn_ladder=[],

@@ -5,9 +5,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from nsvol.errors import NotPositiveDefiniteError, ParameterOutOfDomainError
-from nsvol.likelihood import (QuasiLikEngine, build_S, dense_quasi_loglik,
-                              grad_H, hess_H, quasi_loglik,
-                              quasi_loglik_dense)
+from nsvol.likelihood import QuasiLikEngine, build_S, dense_quasi_loglik
 from nsvol.models import correlated_bm, scalar_bm, state_dependent
 from nsvol.scheme import ObservationGrid, poisson_grid, uniform_grid
 from nsvol.sde import observe, simulate_path
@@ -90,14 +88,14 @@ class TestQuasiLoglik:
         g = uniform_grid(4, 4, 0.0, 1.0)
         sample = sample_with_values(g, np.zeros(5), np.zeros(5))
         engine = QuasiLikEngine(model, sample)
-        assert quasi_loglik(engine, [1.0]) == pytest.approx(0.0, abs=1e-14)
+        assert engine.loglik([1.0]) == pytest.approx(0.0, abs=1e-14)
 
     def test_single_interval_unit_z(self):
         model = scalar_bm()
         g = ObservationGrid([0.0, 1.0], [0.0, 1.0], 1.0, 2.0)
         sample = sample_with_values(g, [0.0, 1.0], [0.0, 1.0])
         engine = QuasiLikEngine(model, sample)
-        assert quasi_loglik(engine, [1.0]) == pytest.approx(-1.0)
+        assert engine.loglik([1.0]) == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("rates", [(1.0, 1.0), (1.0, 2.5), (2.5, 1.0)])
     def test_banded_matches_dense(self, rates):
@@ -106,15 +104,9 @@ class TestQuasiLoglik:
         g = poisson_grid(*rates, 1.0, bn=120, seed=4)
         engine = QuasiLikEngine(model, _sample(model, sigma, g, seed=9))
         for trial in ([1.1, 0.45], [0.8, -0.2], [1.9, 0.7]):
-            hb = quasi_loglik(engine, trial)
-            hd = quasi_loglik_dense(engine, trial)
+            hb = engine.loglik(trial)
+            hd = engine.loglik_dense(trial)
             assert abs(hb - hd) <= 1e-9 * (1 + abs(hd))
-
-    def test_cross_check_mode(self):
-        model = scalar_bm()
-        g = poisson_grid(1.0, 1.0, 1.0, bn=40, seed=2)
-        engine = QuasiLikEngine(model, _sample(model, [1.0], g), cross_check=True)
-        engine.loglik([1.2])  # must not raise
 
     def test_diagonal_cov_closed_form(self):
         model = scalar_bm()
@@ -151,15 +143,25 @@ class TestQuasiLoglik:
         with pytest.raises(NotPositiveDefiniteError):
             engine.loglik([1.0])
 
-    def test_bandwidth_fallback_warns_and_agrees(self):
-        model = correlated_bm()
-        g = poisson_grid(1.0, 1.0, 1.0, bn=60, seed=5)
-        sample = _sample(model, [1.0, 0.5], g)
-        engine = QuasiLikEngine(model, sample, bandwidth_limit=0)
-        with pytest.warns(RuntimeWarning):
-            h = engine.loglik([1.0, 0.5])
-        ref = QuasiLikEngine(model, sample).loglik([1.0, 0.5])
-        assert h == pytest.approx(ref, rel=1e-10)
+    @pytest.mark.parametrize("factory,sigma", [
+        (correlated_bm, [1.0, 0.5]),
+        (state_dependent, [1.1, 0.8]),
+    ])
+    def test_wide_schur_band_stays_banded(self, factory, sigma):
+        # a side-1 halt over [0.25, 0.75] spans 149 side-2 intervals
+        s = np.concatenate([np.linspace(0, 0.25, 201),
+                            np.linspace(0.75, 1, 201)])
+        g = ObservationGrid(s, np.linspace(0, 1, 301), 1.0, 701.0)
+        model = factory()
+        engine = QuasiLikEngine(model, _sample(model, sigma, g, seed=3))
+        assert engine._hw == 149
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = engine.loglik(sigma)
+            an = engine.gradient(sigma, method="analytic")
+            fd = engine.gradient(sigma, method="fd")
+        assert h == pytest.approx(engine.loglik_dense(sigma), rel=1e-10)
+        assert np.all(np.abs(fd - an) <= 1e-5 * (1 + np.abs(an)))
 
     def test_synchronous_exactness_constant_offset(self):
         # H differs from the exact Gaussian log-density by a sigma-free
@@ -200,8 +202,8 @@ class TestDerivatives:
         g = poisson_grid(1.0, 1.0, 1.0, bn=40, seed=1)
         engine = QuasiLikEngine(sigma_free_model,
                                 _sample(sigma_free_model, [1.0], g))
-        assert grad_H(engine, [1.0]) == pytest.approx(0.0, abs=1e-9)
-        assert grad_H(engine, [1.0], method="analytic") == pytest.approx(
+        assert engine.gradient([1.0]) == pytest.approx(0.0, abs=1e-9)
+        assert engine.gradient([1.0], method="analytic") == pytest.approx(
             0.0, abs=1e-14)
 
     def test_scalar_closed_form_gradient(self):
@@ -240,7 +242,7 @@ class TestDerivatives:
         model = correlated_bm()
         g = poisson_grid(1.0, 1.0, 1.0, bn=80, seed=3)
         engine = QuasiLikEngine(model, _sample(model, [1.0, 0.4], g, seed=5))
-        H = hess_H(engine, [1.0, 0.4])
+        H = engine.hessian([1.0, 0.4])
         assert np.allclose(H, H.T, atol=1e-8)
         # diagonal matches the scalar second difference of the profile
         s = np.array([1.0, 0.4])

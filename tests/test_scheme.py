@@ -324,3 +324,9 @@ class TestGridFiles:
         g2 = load_grid_csv(tmp_path / "s.csv", tmp_path / "t.csv")
         assert np.array_equal(g2.s_times, g.s_times)
         assert g2.bn == 9
+
+    def test_csv_duplicate_index(self, tmp_path):
+        (tmp_path / "s.csv").write_text("index,time\n0,0.0\n1,0.5\n1,0.7\n2,1.0\n")
+        (tmp_path / "t.csv").write_text("index,time\n0,0.0\n1,1.0\n")
+        with pytest.raises(SchemeError, match="row 4 .*duplicate index 1"):
+            load_grid_csv(tmp_path / "s.csv", tmp_path / "t.csv")

@@ -206,3 +206,21 @@ class TestSampleCsv:
         path.write_text("side,index,time,value\n1,0,0.0,0.0\n")
         with pytest.raises(SchemeError):
             read_sample_csv(path, g)
+
+    @pytest.mark.parametrize("bad_row,message", [
+        ("2,1,123.0,0.3", "time differs"),
+        ("1,1,0.5,0.9", "repeats side 1 index 1"),
+        ("1,-1,1.0,0.5", "index out of range"),
+        ("2,3,1.0,0.5", "index out of range"),
+        ("1,1,0.5", "malformed"),
+    ])
+    def test_rejects_bad_row(self, tmp_path, bad_row, message):
+        # the complete, correct file for a 2 + 2 interval grid
+        g = uniform_grid(2, 2, 0.0, 1.0)
+        rows = ["1,0,0.0,0.0", "1,1,0.5,0.1", "1,2,1.0,0.2",
+                "2,0,0.0,0.0", "2,1,0.5,0.3", "2,2,1.0,0.4"]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["side,index,time,value", *rows[:4],
+                                   bad_row, *rows[4:]]) + "\n")
+        with pytest.raises(SchemeError, match=f"row 6 .*{message}"):
+            read_sample_csv(path, g)
