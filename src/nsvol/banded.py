@@ -4,8 +4,8 @@ Both banded computations of the package run through this module: the
 Schur complement of the structured quasi-likelihood and the resolvent
 ``I - z^2 G G*`` of the scheme diagnostics.  Matrices are held in the
 LAPACK upper-band layout ``band[hw + i - j, j] = A[i, j]`` for
-``0 <= j - i <= hw``, the layout ``scipy.linalg.cholesky_banded`` reads
-and writes.
+``0 <= j - i <= hw``, the layout LAPACK's ``dpbtrf`` and ``dpbtrs`` read
+and write.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import NotPositiveDefiniteError
 
-__all__ = ["upper_band", "cholesky", "selected_inverse", "pivot_from_message"]
+__all__ = ["upper_band", "cholesky", "solve", "selected_inverse",
+           "pivot_from_message"]
 
 _MINOR_RE = re.compile(r"(\d+)-th leading minor")
 
@@ -47,14 +48,22 @@ def upper_band(P, hw, n):
 def cholesky(band):
     """Upper Cholesky factor ``U`` (``A = U' U``) in the same layout.
 
-    Raises ``NotPositiveDefiniteError`` carrying the failing pivot.
+    Raises ``NotPositiveDefiniteError`` carrying the failing pivot, and
+    ``ValueError`` on a band with non-finite entries.
     """
-    try:
-        return sla.cholesky_banded(band, lower=False)
-    except np.linalg.LinAlgError as exc:
+    if not np.all(np.isfinite(band)):
+        raise ValueError("band must not contain infs or NaNs")
+    cb, info = dpbtrf(band, lower=0)
+    if info > 0:
         raise NotPositiveDefiniteError(
-            f"banded factorization failed: {exc}",
-            pivot=pivot_from_message(exc)) from exc
+            f"banded factorization failed: {info}-th leading minor not "
+            f"positive definite", pivot=info - 1)
+    return cb
+
+
+def solve(cb, rhs):
+    """Solution of ``A x = rhs`` from the upper factor ``cb`` of ``A``."""
+    return dpbtrs(cb, rhs, lower=0)[0]
 
 
 def selected_inverse(cb):

@@ -14,9 +14,8 @@ from .information import (information_matrix, information_matrix_mc,
                           trace_densities)
 from .likelihood import QuasiLikEngine
 from .models import MODELS, get_model
-from .scheme import (check_a2, load_grid_csv, load_grid_json, overlap_matrix,
-                     poisson_grid, save_grid_json, theta_length_sums,
-                     uniform_grid)
+from .scheme import (check_a2, grid_from_spec, load_grid_csv, load_grid_json,
+                     overlap_matrix, save_grid_json, theta_length_sums)
 from .sde import observe, read_sample_csv, sample_csv_text, simulate_path
 
 PRIORS = {"uniform": lambda s: 1.0}
@@ -51,13 +50,8 @@ def _load_grid(args):
     if getattr(args, "grid_csv", None):
         return load_grid_csv(*args.grid_csv)
     if getattr(args, "scheme", None) and getattr(args, "n", None):
-        spec = args.scheme
-        if spec["scheme"] == "poisson":
-            return poisson_grid(spec["rate1"], spec["rate2"], args.horizon,
-                                bn=args.n, seed=[args.seed, 0])
-        n1 = max(1, round(spec["rate1"] * args.n))
-        n2 = max(1, round(spec["rate2"] * args.n))
-        return uniform_grid(n1, n2, spec["offset2"], args.horizon, bn=args.n)
+        return grid_from_spec(**args.scheme, n=args.n, horizon=args.horizon,
+                              seed=[args.seed, 0])
     raise SystemExit("a grid is required: --grid, --grid-csv, or --scheme/--n")
 
 
@@ -99,15 +93,10 @@ def _cmd_estimate(args):
 def _cmd_info(args):
     model = get_model(args.model)
     sigma_star = _parse_sigma(args.sigma_star)
-    spec = args.scheme
 
     def generator(seed):
-        if spec["scheme"] == "poisson":
-            return poisson_grid(spec["rate1"], spec["rate2"], args.horizon,
-                                bn=args.n, seed=seed)
-        n1 = max(1, round(spec["rate1"] * args.n))
-        n2 = max(1, round(spec["rate2"] * args.n))
-        return uniform_grid(n1, n2, spec["offset2"], args.horizon, bn=args.n)
+        return grid_from_spec(**args.scheme, n=args.n, horizon=args.horizon,
+                              seed=seed)
 
     grids = [generator([args.seed, 10_000 + k]) for k in range(args.grids)]
     densities = trace_densities(grids, bins=args.bins)
@@ -154,7 +143,7 @@ def _cmd_mc(args):
     if args.seed is not None:
         doc["seed"] = args.seed
     config = harness.ExperimentConfig.from_dict(doc)
-    report = harness.run_mc(config, threads=args.threads)
+    report = harness.run_mc(config)
     text = harness.emit_report(report, format=args.format, path=None,
                                include_timings=args.timings)
     _emit(text, args.out)
@@ -233,7 +222,6 @@ def build_parser():
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--out", default="-")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock columns (breaks byte determinism)")
     p.add_argument("--assert", dest="do_assert", action="store_true",

@@ -5,7 +5,7 @@ records studentized errors; summaries aggregate bias, scaled risk,
 normality statistics of the studentized errors, and the covariation
 variance comparison.  Replicate random streams are derived from
 ``(seed, ladder index, replicate)``, so results are independent of
-execution order and thread count.
+execution order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ from .estimate import (bayes, hayashi_yoshida, observed_info,
                        plugin_covariation, qmle_detail)
 from .likelihood import QuasiLikEngine
 from .models import get_model
-from .scheme import poisson_grid, uniform_grid
+from .scheme import grid_from_spec
 from .sde import observe, simulate_path
 
 __all__ = [
@@ -87,12 +86,8 @@ class ExperimentConfig:
         return asdict(self)
 
     def make_grid(self, n, seed):
-        if self.scheme == "poisson":
-            return poisson_grid(self.rate1, self.rate2, self.horizon,
-                                bn=n, seed=seed)
-        n1 = max(1, round(self.rate1 * n))
-        n2 = max(1, round(self.rate2 * n))
-        return uniform_grid(n1, n2, self.offset2, self.horizon, bn=n)
+        return grid_from_spec(self.scheme, self.rate1, self.rate2, n,
+                              self.horizon, seed, self.offset2)
 
 
 @dataclass
@@ -153,19 +148,14 @@ def _run_one(config: ExperimentConfig, model, sigma_star, nidx, n, rep):
     return row
 
 
-def run_mc(config: ExperimentConfig, threads=1) -> MonteCarloReport:
+def run_mc(config: ExperimentConfig) -> MonteCarloReport:
     """Run the experiment; abort only if more than 5% of replicates fail."""
     model = get_model(config.model)
     sigma_star = np.asarray(config.sigma_star, dtype=float)
     jobs = [(nidx, n, rep)
             for nidx, n in enumerate(config.bn_ladder)
             for rep in range(config.replicates)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda j: _run_one(config, model, sigma_star, *j), jobs))
-    else:
-        rows = [_run_one(config, model, sigma_star, *j) for j in jobs]
+    rows = [_run_one(config, model, sigma_star, *j) for j in jobs]
     failures = sum(1 for r in rows if r.error is not None)
     if jobs and failures > 0.05 * len(jobs):
         examples = [r.error for r in rows if r.error][:3]
@@ -204,31 +194,18 @@ def summarize(config: ExperimentConfig, rows):
             if entry["rmse"] > 0:
                 rmse_points.append((n, entry["rmse"]))
 
-            stud = []
-            for r in sel:
-                if not r.positive_definite:
-                    continue
-                half = _sqrtm_sym(np.asarray(r.gamma_n))
-                err = np.asarray(r.sigma_hat) - sigma_star
-                stud.append(np.sqrt(r.n) * (half @ err))
-            if len(stud) >= 2:
-                stud = np.array(stud)
-                entry["studentized"] = _normality_block(stud)
+            block = _studentized(sel, "sigma_hat", sigma_star)
+            if block is not None:
+                entry["studentized"] = block
             tilde_rows = [r for r in sel if r.sigma_tilde is not None]
             if tilde_rows:
                 tildes = np.array([r.sigma_tilde for r in tilde_rows])
                 hats_t = np.array([r.sigma_hat for r in tilde_rows])
                 entry["bayes_qmle_median_gap"] = float(
                     np.median(np.linalg.norm(tildes - hats_t, axis=1)))
-                studb = []
-                for r in tilde_rows:
-                    if not r.positive_definite:
-                        continue
-                    half = _sqrtm_sym(np.asarray(r.gamma_n))
-                    err = np.asarray(r.sigma_tilde) - sigma_star
-                    studb.append(np.sqrt(r.n) * (half @ err))
-                if len(studb) >= 2:
-                    entry["studentized_bayes"] = _normality_block(np.array(studb))
+                block = _studentized(tilde_rows, "sigma_tilde", sigma_star)
+                if block is not None:
+                    entry["studentized_bayes"] = block
             hy_vals = np.array([r.hy for r in sel if r.hy is not None])
             plug_vals = np.array([r.plugin for r in sel if r.plugin is not None])
             if hy_vals.size > 1 and plug_vals.size > 1:
@@ -247,6 +224,15 @@ def summarize(config: ExperimentConfig, rows):
         rs = np.log([p[1] for p in rmse_points])
         summaries["rmse_slope"] = float(np.polyfit(ns, rs, 1)[0])
     return summaries
+
+
+def _studentized(rows, estimate, sigma_star):
+    """Normality block of ``sqrt(n) Gamma_n^{1/2} (estimate - sigma*)``
+    over the rows with positive-definite ``Gamma_n``; None below two."""
+    stud = [np.sqrt(r.n) * (_sqrtm_sym(np.asarray(r.gamma_n))
+                            @ (np.asarray(getattr(r, estimate)) - sigma_star))
+            for r in rows if r.positive_definite]
+    return _normality_block(np.array(stud)) if len(stud) >= 2 else None
 
 
 def _normality_block(stud):
@@ -279,7 +265,7 @@ def emit_report(report: MonteCarloReport, format="csv", path=None,
     columns carry that coordinate's diagonal entry, and a failed replicate
     carries its message in ``error`` (quoted when it holds a comma).
     Timing columns are zeroed by default so identical configurations
-    produce byte-identical files across runs and thread counts.
+    produce byte-identical files across runs.
     """
     if format == "csv":
         buf = io.StringIO()

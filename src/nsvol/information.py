@@ -62,7 +62,7 @@ class TraceDensities:
             e1 = np.searchsorted(ov.s_left, self.bin_edges, side="left")
             e2 = np.searchsorted(ov.t_left, self.bin_edges, side="left")
             self._edge_counts.append((e1, e2))
-        self._cache = {}
+        self._by_z = {}
         for z in set(float(z) for z in z_values) | {0.0}:
             self._bin_densities(z)
 
@@ -73,7 +73,7 @@ class TraceDensities:
 
     def _bin_densities(self, z):
         key = round(z * z, 15)
-        hit = self._cache.get(key)
+        hit = self._by_z.get(key)
         if hit is not None:
             return hit
         if abs(z) >= 1.0:
@@ -87,7 +87,7 @@ class TraceDensities:
                 acc += np.diff(cum[edges]) / bn
         n = len(self._grids)
         dens = (acc1 / (n * self.bin_width), acc2 / (n * self.bin_width))
-        self._cache[key] = dens
+        self._by_z[key] = dens
         return dens
 
     def _bin_index(self, t):
@@ -107,12 +107,6 @@ class TraceDensities:
 
     def c(self, z, t):
         return float(self.c_bins(z)[self._bin_index(t)])
-
-    def a0(self, t):
-        return self.a(0.0, t)
-
-    def c0(self, t):
-        return self.c(0.0, t)
 
     def identity_residual(self, z):
         """| integral(a(z)-a0) - integral(c(z)-c0) | over the horizon.

@@ -12,17 +12,22 @@ tick, and ``G`` is the interval-overlap matrix.  The quasi-log-likelihood
     H(sigma) = -1/2 Z' S(sigma)^{-1} Z - 1/2 log det S(sigma)
 
 (no 2*pi constant) is evaluated through a banded Schur complement:
-eliminating the larger diagonal block leaves
-``C = D_small - M' D_big^{-1} M``, which inherits a bandwidth bounded by
-the overlap bandwidth and factors in O(n w^2) on every grid.  The dense
-evaluation ``dense_quasi_loglik`` is kept as the test oracle.
+eliminating the larger diagonal block ``D_A`` leaves
+``C = D_B - M' D_A^{-1} M``, which inherits a bandwidth bounded by the
+overlap bandwidth and factors in O(n w^2) on every grid.
+
+``QuasiLikEngine`` builds everything that depends only on the sample once:
+the coupling pattern ordered by rows of the larger block, the coefficient
+evaluation points, and the index of entry pairs sharing a row, each with
+its position in the band of ``M' D_A^{-1} M``.  An evaluation is then a
+stateless function of ``sigma``: coefficient rows, a ``bincount`` over the
+pairs for the band, one banded factor and solve.  ``build_S`` and the
+dense evaluation ``dense_quasi_loglik`` are kept as the test oracle.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +45,6 @@ __all__ = [
     "build_S",
     "dense_quasi_loglik",
 ]
-
-#: Factorizations kept per engine (most recently used parameters).
-_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +95,32 @@ def _coeff_points(sample):
     return (t1, x1), (t2, x2), j_prev, i_prev
 
 
+def _coeff_rows(model, sigma, points, deriv=False):
+    """Side-1 diffusion rows at the side-1 points, side-2 rows at side 2.
+
+    Rows have shape ``(n, 2)``, or ``(n, d, 2)`` for the parameter
+    derivative (``deriv=True``).  A constant-coefficient model is evaluated
+    once and repeated.
+    """
+    fn, tail = ((model.diffusion_dsigma, (model.dim_param, 2, 2)) if deriv
+                else (model.diffusion, (2, 2)))
+    if model.constant_coeffs:
+        b = np.asarray(fn(0.0, model.y0[None, :], sigma), float).reshape(tail)
+        return [np.repeat(b[None, ..., k, :], t.size, axis=0)
+                for k, (t, _) in enumerate(points)]
+    return [np.asarray(fn(t, x, sigma), float).reshape((t.size,) + tail)
+            [..., k, :] for k, (t, x) in enumerate(points)]
+
+
+def _row_dots(a, b, ia=None, ib=None):
+    """Dot products of 2-vector rows ``a[ia]`` and ``b[ib]`` (all rows by
+    default)."""
+    if ia is None:
+        return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+    return (a[:, 0].take(ia) * b[:, 0].take(ib)
+            + a[:, 1].take(ia) * b[:, 1].take(ib))
+
+
 def build_S(model: DiffusionModel, sigma, sample: NonsyncSample,
             overlap: OverlapMatrix = None) -> StructuredCov:
     """Assemble the structured covariance at ``sigma``.
@@ -104,14 +132,8 @@ def build_S(model: DiffusionModel, sigma, sample: NonsyncSample,
     sigma = np.asarray(sigma, dtype=float)
     if overlap is None:
         overlap = overlap_matrix(sample.grid)
-    (t1, x1), (t2, x2), j_prev, i_prev = _coeff_points(sample)
-    if model.constant_coeffs:
-        b1, b2 = model.coeff_rows(0.0, model.y0[None, :], sigma)
-        b1rows = np.broadcast_to(b1[0], (t1.size, 2))
-        b2rows = np.broadcast_to(b2[0], (t2.size, 2))
-    else:
-        b1rows, _ = model.coeff_rows(t1, x1, sigma)
-        _, b2rows = model.coeff_rows(t2, x2, sigma)
+    p1, p2, j_prev, i_prev = _coeff_points(sample)
+    b1rows, b2rows = _coeff_rows(model, sigma, (p1, p2))
     d1 = np.einsum("ik,ik->i", b1rows, b1rows)
     d2 = np.einsum("jk,jk->j", b2rows, b2rows)
     G = overlap.csr
@@ -137,71 +159,14 @@ def dense_quasi_loglik(S, z):
     return float(-0.5 * z @ x - 0.5 * logdet)
 
 
-class _BandedFactor:
-    """Schur-complement factorization of the block covariance.
+class QuasiLikEngine:
+    """Banded evaluation of the quasi-log-likelihood and its derivatives.
 
     Orientation: side A is the larger diagonal block (eliminated first),
-    side B the smaller one whose Schur complement ``C`` is banded.  When
-    the normalized Gram band ``M' M`` is supplied (constant-coefficient
-    models: it only rescales with the parameter), the per-call sparse
-    product is skipped.
-    """
-
-    def __init__(self, dA, dB, M, hw, gram_band=None, gram_scale=1.0,
-                 ops=None):
-        if np.any(dA <= 0):
-            raise NotPositiveDefiniteError(
-                "nonpositive diagonal block entry", pivot=int(np.argmin(dA)))
-        if np.any(dB <= 0):
-            raise NotPositiveDefiniteError(
-                "nonpositive diagonal block entry", pivot=int(np.argmin(dB)))
-        self.dA = dA
-        self.dB = dB
-        self.M = M
-        self.hw = hw
-        nB = dB.size
-        if ops is not None:
-            self._mv, self._rmv = ops
-        else:
-            Mt = M.T.tocsr()
-            self._mv = M.__matmul__
-            self._rmv = Mt.__matmul__
-        if gram_band is None:
-            W = M.multiply((1.0 / np.sqrt(dA))[:, None]).tocsr()
-            band = -banded.upper_band(W.T @ W, hw, nB)
-        else:
-            band = (-gram_scale) * gram_band
-        band[hw, :] += dB
-        self.cb = banded.cholesky(band)
-        self.logdet = float(np.log(dA).sum() + 2.0 * np.log(self.cb[hw, :]).sum())
-        self._cinv_band = None
-
-    def solve_parts(self, zA, zB):
-        rhs = zB - self._rmv(zA / self.dA)
-        xB = sla.cho_solve_banded((self.cb, False), rhs)
-        xA = (zA - self._mv(xB)) / self.dA
-        return xA, xB
-
-    def inv_band(self):
-        """Upper-band layout of ``C^{-1}`` within ``hw`` of the diagonal."""
-        if self._cinv_band is None:
-            self._cinv_band = banded.selected_inverse(self.cb)
-        return self._cinv_band
-
-    def inv_block(self, run):
-        """Dense ``C^{-1}[run, run]`` for a short contiguous index run."""
-        lo = np.minimum.outer(run, run)
-        hi = np.maximum.outer(run, run)
-        return self.inv_band()[self.hw + lo - hi, hi]
-
-
-class QuasiLikEngine:
-    """Factorized evaluation of the quasi-log-likelihood and derivatives.
-
-    Every evaluation goes through the banded Schur complement, whose
-    bandwidth the overlap bandwidth bounds on every grid; ``loglik_dense``
-    is the independent oracle.  Factorizations are cached per parameter vector behind a lock, so
-    concurrent evaluations at different parameters are safe.
+    side B the smaller one, whose Schur complement is banded within the
+    overlap bandwidth on every grid.  ``__init__`` builds all sample-only
+    structure; evaluations only read it, so one engine serves concurrent
+    callers.  ``loglik_dense`` is the independent oracle.
     """
 
     def __init__(self, model: DiffusionModel, sample: NonsyncSample):
@@ -210,100 +175,85 @@ class QuasiLikEngine:
         self.grid = sample.grid
         self.overlap = overlap_matrix(sample.grid)
         self.z = sample.z
-        self._n1 = self.grid.n_intervals1
-        self._n2 = self.grid.n_intervals2
-        self._swap = self._n2 > self._n1
+        n1, n2 = self.grid.n_intervals1, self.grid.n_intervals2
+        self._swap = n2 > n1
+        self._nA, self._nB = (n2, n1) if self._swap else (n1, n2)
         self._hw = (self.overlap.col_bandwidth if self._swap
                     else self.overlap.bandwidth)
+        p1, p2, _, _ = _coeff_points(sample)
+        self._points = (p1, p2)
+        # coupling pattern ordered by A-row, B-columns ascending within it
+        G = self.overlap.csr
+        i1 = np.repeat(np.arange(n1), np.diff(G.indptr))
+        i2 = G.indices
+        order = np.lexsort((i1, i2)) if self._swap else np.arange(G.nnz)
+        self._i1, self._i2, self._g = i1[order], i2[order], G.data[order]
+        self._row_a, self._col_b = ((self._i2, self._i1) if self._swap
+                                    else (self._i1, self._i2))
+        z1, z2 = self.z[:n1], self.z[n1:]
+        self._zA, self._zB = (z2, z1) if self._swap else (z1, z2)
+        # pairs p <= q of entries in one A-row, and the position of band
+        # entry (col p, col q) in the Fortran-ordered upper-band layout
+        row_end = np.searchsorted(self._row_a, self._row_a, side="right")
+        counts = row_end - np.arange(self._g.size)
+        self._p = np.repeat(np.arange(self._g.size), counts)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        self._q = self._p + np.arange(self._p.size) - starts
+        cp, cq = self._col_b[self._p], self._col_b[self._q]
+        self._pos = cq * (self._hw + 1) + self._hw + cp - cq
+        # G' G on the band: constant-coefficient models only rescale it
+        self._gram = self._band_sum(self._g[self._p] * self._g[self._q])
+
+    def _band_sum(self, weights):
+        size = (self._hw + 1) * self._nB
+        return np.bincount(self._pos, weights, size).reshape(
+            self._nB, self._hw + 1).T
+
+    # -- evaluation -----------------------------------------------------
+
+    def _evaluate(self, sigma):
+        """(b1, b2, dA, v, cb): coefficient rows, the diagonal of ``D_A``,
+        coupling values on the pattern and the factor of ``C``."""
+        self.model.require_in_box(sigma)
+        sigma = np.asarray(sigma, dtype=float)
+        b1, b2 = _coeff_rows(self.model, sigma, self._points)
+        dA, dB = _row_dots(b1, b1), _row_dots(b2, b2)
         if self._swap:
-            G = self.overlap.csr
-            rows = np.repeat(np.arange(self.overlap.rows), np.diff(G.indptr))
-            marker = sp.csr_matrix(
-                (np.arange(G.nnz), (G.indices, rows)),
-                shape=(self._n2, self._n1))
-            # marker.data[p] is the original-order position stored at
-            # transposed position p; structure reused for the coupling.
-            self._perm = marker.data.astype(int)
-            self._t_struct = (marker.indices.copy(), marker.indptr.copy())
-            self._G_or = sp.csr_matrix((G.data[self._perm], *self._t_struct),
-                                       shape=(self._n2, self._n1))
-            self._zA, self._zB = self.z[self._n1:], self.z[:self._n1]
+            dA, dB = dB, dA
+        # a nonpositive entry of D_B also fails the factor of C at its pivot
+        if dA.min() <= 0:
+            raise NotPositiveDefiniteError(
+                "nonpositive diagonal block entry", pivot=int(np.argmin(dA)))
+        v = _row_dots(b1, b2, self._i1, self._i2) * self._g
+        if self.model.constant_coeffs:
+            c = b1[0] @ b2[0]
+            band = (-c * c / dA[0]) * self._gram
         else:
-            self._perm = None
-            self._t_struct = None
-            self._G_or = self.overlap.csr
-            self._zA, self._zB = self.z[:self._n1], self.z[self._n1:]
-        if model.constant_coeffs:
-            nB = self._n1 if self._swap else self._n2
-            self._gram_band0 = banded.upper_band(self._G_or.T @ self._G_or,
-                                                 self._hw, nB)
-            self._G_orT = self._G_or.T.tocsr()
-        else:
-            self._gram_band0 = None
-            self._G_orT = None
-        self._cache = OrderedDict()
-        self._lock = threading.Lock()
+            # W'W with W = D_A^{-1/2} M, entry by entry over the pairs
+            w = v * (1.0 / np.sqrt(dA))[self._row_a]
+            band = -self._band_sum(w[self._p] * w[self._q])
+        band[self._hw] += dB
+        return b1, b2, dA, v, banded.cholesky(band)
 
-    # -- assembly -----------------------------------------------------
-
-    def build(self, sigma) -> StructuredCov:
-        return build_S(self.model, sigma, self.sample, self.overlap)
-
-    def _oriented(self, cov: StructuredCov):
-        """(dA, dB, M, zA, zB) with A the larger block."""
-        z1, z2 = self.z[:self._n1], self.z[self._n1:]
-        V = cov.coupling
-        if not self._swap:
-            return cov.d1, cov.d2, V, z1, z2
-        Mt = sp.csr_matrix((V.data[self._perm], *self._t_struct),
-                           shape=(self._n2, self._n1))
-        return cov.d2, cov.d1, Mt, z2, z1
-
-    def _factor(self, sigma):
-        key = tuple(np.asarray(sigma, dtype=float).tolist())
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
-                return hit
-        if self._gram_band0 is not None:
-            self.model.require_in_box(sigma)
-            b1, b2 = self.model.coeff_rows(0.0, self.model.y0[None, :],
-                                           np.asarray(sigma, dtype=float))
-            a1 = float(b1[0] @ b1[0])
-            a2 = float(b2[0] @ b2[0])
-            c = float(b1[0] @ b2[0])
-            aA, aB = (a2, a1) if self._swap else (a1, a2)
-            nA, nB = ((self._n2, self._n1) if self._swap
-                      else (self._n1, self._n2))
-            G, Gt = self._G_or, self._G_orT
-            factor = _BandedFactor(
-                np.full(nA, aA), np.full(nB, aB), None, self._hw,
-                gram_band=self._gram_band0, gram_scale=c * c / aA,
-                ops=(lambda x: c * (G @ x), lambda x: c * (Gt @ x)))
-            factor.coupling_scale = c
-        else:
-            cov = self.build(sigma)
-            dA, dB, M, _, _ = self._oriented(cov)
-            factor = _BandedFactor(dA, dB, M, self._hw)
-        with self._lock:
-            self._cache[key] = factor
-            while len(self._cache) > _CACHE_SIZE:
-                self._cache.popitem(last=False)
-        return factor
-
-    # -- values ---------------------------------------------------------
+    def _solve(self, dA, v, cb):
+        """``S^{-1} Z`` in oriented parts ``(xA, xB)``."""
+        row_a, col_b = self._row_a, self._col_b
+        rhs = self._zB - np.bincount(col_b, v * (self._zA / dA).take(row_a),
+                                     self._nB)
+        xB = banded.solve(cb, rhs)
+        xA = (self._zA - np.bincount(row_a, v * xB.take(col_b), self._nA)) / dA
+        return xA, xB
 
     def loglik(self, sigma):
         """Quasi-log-likelihood at ``sigma`` (banded Schur path)."""
-        factor = self._factor(sigma)
-        xA, xB = factor.solve_parts(self._zA, self._zB)
-        return float(-0.5 * (self._zA @ xA + self._zB @ xB)
-                     - 0.5 * factor.logdet)
+        _, _, dA, v, cb = self._evaluate(sigma)
+        xA, xB = self._solve(dA, v, cb)
+        logdet = np.log(dA).sum() + 2.0 * np.log(cb[self._hw]).sum()
+        return float(-0.5 * (self._zA @ xA + self._zB @ xB) - 0.5 * logdet)
 
     def loglik_dense(self, sigma):
         """Dense-oracle evaluation, independent of the banded path."""
-        cov = self.build(sigma)
+        cov = build_S(self.model, sigma, self.sample, self.overlap)
         return dense_quasi_loglik(cov.to_dense(), self.z)
 
     # -- derivatives ------------------------------------------------------
@@ -353,76 +303,42 @@ class QuasiLikEngine:
                           "boundary", RuntimeWarning, stacklevel=2)
         return (g, onesided) if return_flags else g
 
-    def _coupling_dsigma(self, sigma):
-        """(ddiag1, ddiag2, dvals) parameter derivatives of S's blocks."""
+    def _gradient_analytic(self, sigma):
+        """``dH/dsigma_k = 1/2 x' dS_k x - 1/2 tr(S^{-1} dS_k)``, x = S^{-1} Z.
+
+        ``dS_k`` lives on the diagonals and the coupling pattern, so the
+        trace needs ``S^{-1}`` only there: ``C^{-1}`` on its band gives the
+        B diagonal, and its entries at the pair positions give the A
+        diagonal and the coupling block.
+        """
         if self.model.diffusion_dsigma is None:
             raise EstimationError("model has no diffusion parameter derivative")
-        (t1, x1), (t2, x2), _, _ = _coeff_points(self.sample)
-        d = self.model.dim_param
-        if self.model.constant_coeffs:
-            y = self.model.y0[None, :]
-            b = np.asarray(self.model.diffusion(0.0, y, sigma), float).reshape(2, 2)
-            db = np.asarray(self.model.diffusion_dsigma(0.0, y, sigma),
-                            float).reshape(d, 2, 2)
-            b1rows = np.broadcast_to(b[0], (t1.size, 2))
-            b2rows = np.broadcast_to(b[1], (t2.size, 2))
-            db1rows = np.broadcast_to(db[:, 0, :], (t1.size, d, 2))
-            db2rows = np.broadcast_to(db[:, 1, :], (t2.size, d, 2))
-        else:
-            b1rows, _ = self.model.coeff_rows(t1, x1, sigma)
-            _, b2rows = self.model.coeff_rows(t2, x2, sigma)
-            full1 = np.asarray(self.model.diffusion_dsigma(t1, x1, sigma), float)
-            full2 = np.asarray(self.model.diffusion_dsigma(t2, x2, sigma), float)
-            db1rows = full1.reshape(t1.size, d, 2, 2)[:, :, 0, :]
-            db2rows = full2.reshape(t2.size, d, 2, 2)[:, :, 1, :]
-        dd1 = 2.0 * np.einsum("im,ikm->ki", b1rows, db1rows)
-        dd2 = 2.0 * np.einsum("jm,jkm->kj", b2rows, db2rows)
-        G = self.overlap.csr
-        rows = np.repeat(np.arange(self.overlap.rows), np.diff(G.indptr))
-        cols = G.indices
-        dvals = (np.einsum("nkm,nm->kn", db1rows[rows], b2rows[cols])
-                 + np.einsum("nm,nkm->kn", b1rows[rows], db2rows[cols])) * G.data
-        return dd1, dd2, dvals, rows, cols
-
-    def _gradient_analytic(self, sigma):
-        factor = self._factor(sigma)
-        dd1, dd2, dvals, rows, cols = self._coupling_dsigma(sigma)
-        d = self.model.dim_param
-        dA = factor.dA
-        M = factor.M
-        if M is None:  # constant-coefficient fast path stores scale only
-            M = self._G_or * factor.coupling_scale
-        xA, xB = factor.solve_parts(self._zA, self._zB)
+        b1, b2, dA, v, cb = self._evaluate(sigma)
+        db1, db2 = _coeff_rows(self.model, sigma, self._points, deriv=True)
+        i1, i2, P, Q = self._i1, self._i2, self._p, self._q
+        dd1 = 2.0 * np.einsum("im,ikm->ki", b1, db1)
+        dd2 = 2.0 * np.einsum("jm,jkm->kj", b2, db2)
+        dv = (np.einsum("nkm,nm->kn", db1.take(i1, 0), b2.take(i2, 0))
+              + np.einsum("nm,nkm->kn", b1.take(i1, 0), db2.take(i2, 0))
+              ) * self._g
+        xA, xB = self._solve(dA, v, cb)
         x1, x2 = (xB, xA) if self._swap else (xA, xB)
-        diagB = factor.inv_band()[factor.hw, :]
-        nA = dA.size
-        diagA = np.empty(nA)
-        crossA = np.empty(M.nnz)
-        indptr, indices, data = M.indptr, M.indices, M.data
-        for i in range(nA):
-            lo, hi = indptr[i], indptr[i + 1]
-            run = indices[lo:hi]
-            v = data[lo:hi]
-            block = factor.inv_block(run)
-            w = v @ block
-            crossA[lo:hi] = -w / dA[i]
-            diagA[i] = 1.0 / dA[i] + (w @ v) / dA[i] ** 2
-        if self._swap:
-            diag1, diag2 = diagB, diagA
-            # crossA follows the transposed pattern; map to overlap order.
-            cross = np.empty_like(crossA)
-            cross[self._perm] = crossA
-        else:
-            diag1, diag2 = diagA, diagB
-            cross = crossA
-        grad = np.empty(d)
-        for k in range(d):
-            quad = (dd1[k] @ (x1 * x1) + dd2[k] @ (x2 * x2)
-                    + 2.0 * np.sum(dvals[k] * x1[rows] * x2[cols]))
-            trace = (diag1 @ dd1[k] + diag2 @ dd2[k]
-                     + 2.0 * np.sum(cross * dvals[k]))
-            grad[k] = 0.5 * quad - 0.5 * trace
-        return grad
+        cinv = banded.selected_inverse(cb)
+        diagB = cinv[self._hw]
+        # X = C^{-1}[col p, col q] per pair; an off-diagonal pair counts for
+        # both (p, q) and (q, p)
+        X = cinv.ravel(order="F")[self._pos]
+        off = P != Q
+        quadA = np.bincount(self._row_a[P], np.where(off, 2.0, 1.0)
+                            * v[P] * v[Q] * X, self._nA)
+        diagA = 1.0 / dA + quadA / dA ** 2
+        cross = -(np.bincount(P, v[Q] * X, v.size)
+                  + np.bincount(Q[off], (v[P] * X)[off], v.size))
+        cross /= dA[self._row_a]
+        diag1, diag2 = (diagB, diagA) if self._swap else (diagA, diagB)
+        quad = dd1 @ (x1 * x1) + dd2 @ (x2 * x2) + 2.0 * dv @ (x1[i1] * x2[i2])
+        trace = dd1 @ diag1 + dd2 @ diag2 + 2.0 * dv @ cross
+        return 0.5 * quad - 0.5 * trace
 
     def hessian(self, sigma):
         """Central finite-difference Hessian (exactly symmetric stencil).

@@ -31,6 +31,7 @@ __all__ = [
     "SchemeDiagnostics",
     "poisson_grid",
     "uniform_grid",
+    "grid_from_spec",
     "overlap_matrix",
     "operator_norm",
     "resolvent_trace",
@@ -133,17 +134,10 @@ class ObservationGrid:
         """Number of component-1 observation times in (0, t]."""
         return int(np.searchsorted(self.s_times[1:], t, side="right"))
 
-    def count2(self, t):
-        return int(np.searchsorted(self.t_times[1:], t, side="right"))
-
     def active_intervals(self, t, side):
         """Number of sampling intervals meeting [0, t), for one side."""
         left = self.s_times[:-1] if side == 1 else self.t_times[:-1]
         return int(np.searchsorted(left, t, side="left"))
-
-    def with_bn(self, bn):
-        """Copy of this grid with a different recorded scale."""
-        return ObservationGrid(self.s_times, self.t_times, self.horizon, bn)
 
 
 def _poisson_times(rng, intensity, horizon):
@@ -203,6 +197,23 @@ def uniform_grid(n1, n2, offset2=0.0, horizon=1.0, bn=None):
     if bn is None:
         bn = n1 + n2
     return ObservationGrid(s, t, T, bn)
+
+
+def grid_from_spec(scheme, rate1, rate2, n, horizon=1.0, seed=None,
+                   offset2=0.5):
+    """Grid of a scheme spec at scale ``n``.
+
+    ``rate1`` and ``rate2`` are per-side frequency factors: Poisson
+    intensities ``rate * n`` (``scheme="poisson"``, drawn from ``seed``) or
+    ``round(rate * n)`` equispaced intervals, side 2 shifted by ``offset2``
+    (``scheme="uniform"``).  The grid records ``n`` as its scale.
+    """
+    if scheme == "poisson":
+        return poisson_grid(rate1, rate2, horizon, bn=n, seed=seed)
+    if scheme == "uniform":
+        return uniform_grid(max(1, round(rate1 * n)), max(1, round(rate2 * n)),
+                            offset2, horizon, bn=n)
+    raise SchemeError(f"unknown scheme {scheme!r}")
 
 
 class OverlapMatrix:

@@ -69,9 +69,6 @@ class DiffusionModel:
             raise ParameterOutOfDomainError(
                 f"sigma={np.asarray(sigma)} outside closed parameter box")
 
-    def center(self):
-        return self.param_box.mean(axis=1)
-
     def coeff_rows(self, t, x, sigma):
         """Rows of the diffusion matrix at vectorized evaluation points.
 
@@ -103,6 +100,12 @@ class NonsyncSample:
             raise SchemeError("y1_obs length does not match s_times")
         if y2.shape != self.grid.t_times.shape:
             raise SchemeError("y2_obs length does not match t_times")
+        for name, y in (("y1_obs", y1), ("y2_obs", y2)):
+            bad = np.flatnonzero(~np.isfinite(y))
+            if bad.size:
+                raise SchemeError(
+                    f"{name} has a non-finite value {float(y[bad[0]])!r} at index "
+                    f"{bad[0]}")
         z = np.concatenate([
             np.diff(y1) / np.sqrt(self.grid.lengths1),
             np.diff(y2) / np.sqrt(self.grid.lengths2),
@@ -236,6 +239,8 @@ def read_sample_csv(path, grid: ObservationGrid) -> NonsyncSample:
                 idx, time, value = int(idx), float(time), float(value)
             except ValueError as exc:
                 raise SchemeError(f"{where}: malformed row") from exc
+            if not np.isfinite(value):
+                raise SchemeError(f"{where}: non-finite value")
             if side not in times:
                 raise SchemeError(f"{where}: bad side {side!r}")
             if not 0 <= idx < times[side].size:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nsvol.cli import main
+from nsvol.errors import SchemeError
 from nsvol.scheme import load_grid_json, poisson_grid, save_grid_json
 
 
@@ -39,6 +40,26 @@ class TestSimulateEstimate:
         assert code == 0
         assert out.startswith("side,index,time,value")
         assert len(out.strip().split("\n")) == 1 + 9 + 9
+
+    @pytest.mark.parametrize("model,sigma,value", [
+        ("corr", "1.0,0.5", "inf"),
+        ("statedep", "1.0,1.5", "inf"),
+        ("corr", "1.0,0.5", "nan"),
+    ])
+    def test_estimate_rejects_non_finite_value(self, tmp_path, capsys, model,
+                                               sigma, value):
+        grid_path = tmp_path / "g.json"
+        sample_path = tmp_path / "s.csv"
+        run_cli(capsys, "simulate", "--scheme", "poisson:1,2", "--n", "30",
+                "--model", model, "--sigma", sigma, "--seed", "3",
+                "--save-grid", str(grid_path), "--out", str(sample_path))
+        lines = sample_path.read_text().splitlines()
+        side, idx, time, _ = lines[5].split(",")
+        lines[5] = ",".join([side, idx, time, value])
+        sample_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemeError, match="row 6 .*non-finite value"):
+            main(["estimate", "--grid", str(grid_path), "--sample",
+                  str(sample_path), "--model", model, "--no-bayes"])
 
     def test_missing_grid_is_error(self, capsys):
         with pytest.raises(SystemExit):

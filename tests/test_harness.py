@@ -59,7 +59,7 @@ class TestRunMc:
         assert all(r.error is None for r in rep.rows)
 
     def test_determinism_across_threads_and_runs(self, small_report):
-        rep2 = run_mc(small_report.config, threads=3)
+        rep2 = run_mc(small_report.config)
         assert emit_report(rep2, "csv") == emit_report(small_report, "csv")
         assert emit_report(rep2, "json") == emit_report(small_report, "json")
 

@@ -109,6 +109,16 @@ class TestObserve:
         with pytest.raises(SchemeError):
             observe(np.zeros((3, 2)), g)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_rejects_non_finite_observation(self, side, value):
+        g = uniform_grid(3, 2, 0.5, 1.0)
+        y1, y2 = np.zeros(4), np.zeros(3)
+        (y1 if side == 1 else y2)[2] = value
+        with pytest.raises(SchemeError,
+                           match=f"y{side}_obs has a non-finite value .* index 2"):
+            sample_with_values(g, y1, y2)
+
 
 class TestDistributionalChecks:
     def test_z_entries_gaussian_chi2(self):
@@ -213,6 +223,8 @@ class TestSampleCsv:
         ("1,-1,1.0,0.5", "index out of range"),
         ("2,3,1.0,0.5", "index out of range"),
         ("1,1,0.5", "malformed"),
+        ("2,1,0.5,inf", "non-finite value"),
+        ("2,1,0.5,nan", "non-finite value"),
     ])
     def test_rejects_bad_row(self, tmp_path, bad_row, message):
         # the complete, correct file for a 2 + 2 interval grid
