@@ -23,6 +23,16 @@ its position in the band of ``M' D_A^{-1} M``.  An evaluation is then a
 stateless function of ``sigma``: coefficient rows, a ``bincount`` over the
 pairs for the band, one banded factor and solve.  ``build_S`` and the
 dense evaluation ``dense_quasi_loglik`` are kept as the test oracle.
+
+A pure-scale model (``DiffusionModel.scales = (i1, i2)``) has
+``S(sigma) = D S(1) D`` with ``D = diag(l1 I, l2 I)``, ``l1 = sigma[i1]``,
+``l2 = sigma[i2]``.  The engine then factors ``S(1)`` once, keeps
+``qab = za' [S(1)^{-1}]_ab zb`` and ``log det S(1)``, and evaluates
+
+    H(sigma) = -1/2 (q11/l1^2 + 2 q12/(l1 l2) + q22/l2^2)
+               - n1 log l1 - n2 log l2 - 1/2 log det S(1)
+
+with no factorization.  The analytic gradient keeps the banded path.
 """
 
 from __future__ import annotations
@@ -165,8 +175,9 @@ class QuasiLikEngine:
     Orientation: side A is the larger diagonal block (eliminated first),
     side B the smaller one, whose Schur complement is banded within the
     overlap bandwidth on every grid.  ``__init__`` builds all sample-only
-    structure; evaluations only read it, so one engine serves concurrent
-    callers.  ``loglik_dense`` is the independent oracle.
+    structure, and for a pure-scale model the quadratic forms of ``S(1)``;
+    evaluations only read them, so one engine serves concurrent callers.
+    ``loglik_dense`` is the independent oracle.
     """
 
     def __init__(self, model: DiffusionModel, sample: NonsyncSample):
@@ -203,6 +214,8 @@ class QuasiLikEngine:
         self._pos = cq * (self._hw + 1) + self._hw + cp - cq
         # G' G on the band: constant-coefficient models only rescale it
         self._gram = self._band_sum(self._g[self._p] * self._g[self._q])
+        self._unit = (None if model.scales is None
+                      else self._unit_forms())
 
     def _band_sum(self, weights):
         size = (self._hw + 1) * self._nB
@@ -212,10 +225,13 @@ class QuasiLikEngine:
     # -- evaluation -----------------------------------------------------
 
     def _evaluate(self, sigma):
+        """Box check, then ``_factor``."""
+        self.model.require_in_box(sigma)
+        return self._factor(np.asarray(sigma, dtype=float))
+
+    def _factor(self, sigma):
         """(b1, b2, dA, v, cb): coefficient rows, the diagonal of ``D_A``,
         coupling values on the pattern and the factor of ``C``."""
-        self.model.require_in_box(sigma)
-        sigma = np.asarray(sigma, dtype=float)
         b1, b2 = _coeff_rows(self.model, sigma, self._points)
         dA, dB = _row_dots(b1, b1), _row_dots(b2, b2)
         if self._swap:
@@ -235,21 +251,61 @@ class QuasiLikEngine:
         band[self._hw] += dB
         return b1, b2, dA, v, banded.cholesky(band)
 
-    def _solve(self, dA, v, cb):
-        """``S^{-1} Z`` in oriented parts ``(xA, xB)``."""
+    def _solve(self, dA, v, cb, zA=None, zB=None):
+        """``S^{-1} [zA; zB]`` in oriented parts ``(xA, xB)`` (``Z`` by
+        default)."""
+        zA = self._zA if zA is None else zA
+        zB = self._zB if zB is None else zB
         row_a, col_b = self._row_a, self._col_b
-        rhs = self._zB - np.bincount(col_b, v * (self._zA / dA).take(row_a),
-                                     self._nB)
+        rhs = zB - np.bincount(col_b, v * (zA / dA).take(row_a), self._nB)
         xB = banded.solve(cb, rhs)
-        xA = (self._zA - np.bincount(row_a, v * xB.take(col_b), self._nA)) / dA
+        xA = (zA - np.bincount(row_a, v * xB.take(col_b), self._nA)) / dA
         return xA, xB
 
+    def _logdet(self, dA, cb):
+        return np.log(dA).sum() + 2.0 * np.log(cb[self._hw]).sum()
+
+    def _unit_forms(self):
+        """``(q11, q12, q22, log det S(1))`` of a pure-scale model, with
+        ``qab = za' [S(1)^{-1}]_ab zb``; or the error of the unit factor.
+
+        The unit point may lie outside the box, so no box check here.
+        """
+        try:
+            _, _, dA, v, cb = self._factor(np.ones(self.model.dim_param))
+        except NotPositiveDefiniteError as exc:
+            return exc
+        # S(1)^{-1} [zA; 0] and S(1)^{-1} [0; zB]
+        xA, xB = self._solve(dA, v, cb, zB=np.zeros(self._nB))
+        _, yB = self._solve(dA, v, cb, zA=np.zeros(self._nA))
+        qAA, qAB, qBB = self._zA @ xA, self._zB @ xB, self._zB @ yB
+        q11, q22 = (qBB, qAA) if self._swap else (qAA, qBB)
+        return float(q11), float(qAB), float(q22), float(self._logdet(dA, cb))
+
     def loglik(self, sigma):
-        """Quasi-log-likelihood at ``sigma`` (banded Schur path)."""
-        _, _, dA, v, cb = self._evaluate(sigma)
-        xA, xB = self._solve(dA, v, cb)
-        logdet = np.log(dA).sum() + 2.0 * np.log(cb[self._hw]).sum()
-        return float(-0.5 * (self._zA @ xA + self._zB @ xB) - 0.5 * logdet)
+        """Quasi-log-likelihood at ``sigma``.
+
+        A pure-scale model (``model.scales``) reads the closed form in the
+        two scales; any other model runs the banded Schur path.
+        """
+        if self._unit is None:
+            _, _, dA, v, cb = self._evaluate(sigma)
+            xA, xB = self._solve(dA, v, cb)
+            return float(-0.5 * (self._zA @ xA + self._zB @ xB)
+                         - 0.5 * self._logdet(dA, cb))
+        self.model.require_in_box(sigma)
+        if isinstance(self._unit, NotPositiveDefiniteError):
+            # positive scales leave every leading minor's sign, so S(sigma)
+            # fails at the same pivot as S(1)
+            raise NotPositiveDefiniteError(str(self._unit),
+                                           pivot=self._unit.pivot)
+        q11, q12, q22, logdet = self._unit
+        sigma = np.asarray(sigma, dtype=float).reshape(-1)
+        l1, l2 = (sigma[i] for i in self.model.scales)
+        n1, n2 = self.grid.n_intervals1, self.grid.n_intervals2
+        return float(-0.5 * (q11 / l1 ** 2 + 2.0 * q12 / (l1 * l2)
+                             + q22 / l2 ** 2)
+                     - n1 * np.log(l1) - n2 * np.log(l2) - 0.5 * logdet)
 
     def loglik_dense(self, sigma):
         """Dense-oracle evaluation, independent of the banded path."""

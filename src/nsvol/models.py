@@ -24,7 +24,7 @@ def scalar_bm(box=((0.2, 4.0),), y0=(0.0, 0.0)):
     """Both components driven independently with one common scale.
 
     ``b = sigma * I``, so the two components never couple and the scale is
-    the single unknown.
+    the single unknown; it multiplies both sides' rows (``scales=(0, 0)``).
     """
 
     def diffusion(t, x, sigma):
@@ -50,6 +50,7 @@ def scalar_bm(box=((0.2, 4.0),), y0=(0.0, 0.0)):
         y0=y0,
         constant_coeffs=True,
         name="bm1",
+        scales=(0, 0),
     )
 
 
@@ -100,7 +101,8 @@ def state_dependent(box=((0.4, 2.5), (0.4, 2.5)), y0=(0.0, 0.0), rho0=0.4):
     sigma = (s1, s2); component k has volatility ``s_k`` modulated by a
     smooth bounded factor of the other component's level, with a fixed
     instantaneous correlation ``rho0``.  The modulation keeps the diffusion
-    uniformly elliptic with bounded derivatives.
+    uniformly elliptic with bounded derivatives.  ``s1`` multiplies every
+    side-1 row and ``s2`` every side-2 row (``scales=(0, 1)``).
     """
     q0 = np.sqrt(1.0 - rho0 * rho0)
 
@@ -141,6 +143,7 @@ def state_dependent(box=((0.4, 2.5), (0.4, 2.5)), y0=(0.0, 0.0), rho0=0.4):
         y0=y0,
         constant_coeffs=False,
         name="statedep",
+        scales=(0, 1),
     )
 
 

@@ -585,38 +585,86 @@ def save_grid_json(grid: ObservationGrid, path):
         json.dump(doc, fh)
 
 
+def _file_times(values, where):
+    """One side's times as read from a file: a list of at least two
+    numbers."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemeError(f"{where}: times must be numbers") from exc
+    if arr.ndim != 1 or arr.size < 2:
+        raise SchemeError(f"{where}: a side needs a list of at least two "
+                          f"times, got {arr.size}")
+    return arr
+
+
+def _file_grid(where, s, t, horizon, bn):
+    """``ObservationGrid`` whose errors name the file(s) it came from."""
+    try:
+        return ObservationGrid(s, t, horizon, bn)
+    except (TypeError, ValueError) as exc:
+        raise SchemeError(f"{where}: {exc}") from exc
+
+
 def load_grid_json(path, bn=None):
     """Load a grid from a JSON document.
 
     ``bn`` falls back to the document value, then to the total interval
-    count when neither is present.
+    count when neither is present.  A document that is not an object with
+    ``s_times`` and ``t_times`` lists of at least two numbers raises
+    ``SchemeError`` naming the file and the field.
     """
     with open(path) as fh:
-        doc = json.load(fh)
-    s = np.asarray(doc["s_times"], dtype=float)
-    t = np.asarray(doc["t_times"], dtype=float)
-    horizon = float(doc.get("horizon", max(s[-1], t[-1])))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise SchemeError(f"{path}: not a JSON document ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise SchemeError(f"{path}: expected a JSON object")
+    for name in ("s_times", "t_times"):
+        if name not in doc:
+            raise SchemeError(f"{path}: missing field {name!r}")
+    s = _file_times(doc["s_times"], f"{path}, field 's_times'")
+    t = _file_times(doc["t_times"], f"{path}, field 't_times'")
+    horizon = doc.get("horizon", max(s[-1], t[-1]))
     if bn is None:
         bn = doc.get("bn")
     if bn is None:
         bn = (len(s) - 1) + (len(t) - 1)
-    return ObservationGrid(s, t, horizon, bn)
+    return _file_grid(path, s, t, horizon, bn)
 
 
 def _read_times_csv(path):
-    times = {}
+    """Times of one side from ``index,time`` rows.
+
+    The indices must run over ``0 .. n-1`` once each, in any row order;
+    the first row that breaks this raises ``SchemeError``.
+    """
+    times, rows = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.lower().startswith("index"):
                 continue
-            idx, time = line.split(",")
-            idx = int(idx)
+            where = f"{path}, row {lineno} ({line!r})"
+            try:
+                idx, time = line.split(",")
+                idx, time = int(idx), float(time)
+            except ValueError as exc:
+                raise SchemeError(f"{where}: malformed row, expected "
+                                  f"index,time") from exc
+            if idx < 0:
+                raise SchemeError(f"{where}: negative index {idx}")
             if idx in times:
-                raise SchemeError(
-                    f"{path}, row {lineno} ({line!r}): duplicate index {idx}")
-            times[idx] = float(time)
-    return np.asarray([times[k] for k in sorted(times)])
+                raise SchemeError(f"{where}: duplicate index {idx}")
+            times[idx], rows[idx] = time, where
+    n = len(times)
+    extra = min((k for k in times if k >= n), default=None)
+    if extra is not None:
+        missing = min(set(range(n)) - set(times))
+        raise SchemeError(f"{rows[extra]}: index {extra} leaves a gap; "
+                          f"index {missing} is missing")
+    return _file_times([times[k] for k in range(n)], path)
 
 
 def load_grid_csv(s_path, t_path, horizon=None, bn=None):
@@ -627,4 +675,4 @@ def load_grid_csv(s_path, t_path, horizon=None, bn=None):
         horizon = max(s[-1], t[-1])
     if bn is None:
         bn = (len(s) - 1) + (len(t) - 1)
-    return ObservationGrid(s, t, horizon, bn)
+    return _file_grid(f"{s_path}, {t_path}", s, t, horizon, bn)

@@ -41,6 +41,15 @@ class DiffusionModel:
     one ``(low, high)`` row per coordinate.  ``constant_coeffs`` marks
     models whose coefficients do not depend on ``(t, x)``, which enables
     exact vectorized simulation and cheap likelihood assembly.
+
+    ``scales = (i1, i2)`` declares a pure-scale model: every side-1 row is
+    ``sigma[i1]`` times its value at unit parameters, every side-2 row is
+    ``sigma[i2]`` times its unit value, and the rows depend on ``sigma``
+    through nothing else.  Then ``S(sigma) = D S(1) D`` with
+    ``D = diag(sigma[i1] I, sigma[i2] I)``, and the likelihood engine
+    factors ``S(1)`` once.  The two indices must together name every
+    parameter, and the box of each must be strictly positive.  ``None``
+    (the default) makes no claim.
     """
 
     dim_param: int
@@ -51,11 +60,25 @@ class DiffusionModel:
     diffusion_dsigma: callable = None
     constant_coeffs: bool = False
     name: str = ""
+    scales: tuple = None
 
     def __post_init__(self):
         box = np.atleast_2d(np.asarray(self.param_box, dtype=float))
         if box.shape != (self.dim_param, 2) or np.any(box[:, 0] >= box[:, 1]):
             raise ValueError("param_box must be (d, 2) with low < high")
+        if self.scales is not None:
+            scales = tuple(self.scales)
+            if (len(scales) != 2
+                    or not all(isinstance(i, (int, np.integer)) for i in scales)
+                    or set(scales) != set(range(self.dim_param))):
+                raise ValueError(
+                    f"scales={self.scales!r} must be two parameter indices "
+                    f"that together name each of the {self.dim_param} "
+                    f"parameters")
+            if np.any(box[list(scales), 0] <= 0):
+                raise ValueError("the box of a scale parameter must be "
+                                 "strictly positive")
+            object.__setattr__(self, "scales", tuple(int(i) for i in scales))
         object.__setattr__(self, "param_box", box)
         object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float).reshape(2))
 

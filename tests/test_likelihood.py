@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -308,3 +309,66 @@ class TestEngineCache:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             engine.loglik([1.0])
+
+
+class TestPureScale:
+    """Models declaring ``scales`` evaluate a closed form in the scales."""
+
+    CASES = [
+        (scalar_bm, {}, [1.0], (1.0, 2.5)),
+        (state_dependent, {}, [1.0, 1.5], (1.0, 2.0)),
+        (state_dependent, {}, [1.0, 1.5], (2.0, 1.0)),
+        # unit point outside the box, as in the QMLE boundary test
+        (scalar_bm, {"box": ((0.2, 0.5),)}, [2.5], (1.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("factory,kw,sigma,rates", CASES)
+    def test_matches_banded_and_dense(self, factory, kw, sigma, rates):
+        # data from sigma in the default box, evaluated in the model's box
+        model = factory(**kw)
+        g = poisson_grid(*rates, 1.0, bn=80, seed=4)
+        sample = _sample(factory(), sigma, g, seed=6)
+        engine = QuasiLikEngine(model, sample)
+        banded_engine = QuasiLikEngine(
+            dataclasses.replace(model, scales=None), sample)
+        rng = np.random.default_rng(2)
+        lo, hi = model.param_box[:, 0], model.param_box[:, 1]
+        for _ in range(10):
+            s = rng.uniform(lo, hi)
+            got = engine.loglik(s)
+            assert got == pytest.approx(banded_engine.loglik(s), rel=1e-12)
+            assert got == pytest.approx(engine.loglik_dense(s), rel=1e-10)
+        with pytest.raises(ParameterOutOfDomainError):
+            engine.loglik(hi + 1.0)
+
+    def test_unit_factor_failure_raises_every_call(self):
+        # parallel rows on a synchronous grid: S(1), hence every S(sigma),
+        # is singular
+        model = dataclasses.replace(
+            make_constant_model([[1.0, 0.0], [1.0, 0.0]], sigma_scales=True),
+            scales=(0, 0))
+        g = uniform_grid(4, 4, 0.0, 1.0)
+        sample = _sample(model, [1.0], g)
+        engine = QuasiLikEngine(model, sample)
+        banded_engine = QuasiLikEngine(
+            dataclasses.replace(model, scales=None), sample)
+        for s in (0.5, 1.0, 3.0):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                engine.loglik([s])
+            with pytest.raises(NotPositiveDefiniteError) as ref:
+                banded_engine.loglik([s])
+            assert err.value.pivot == ref.value.pivot is not None
+
+    def test_no_factorization_after_init(self, monkeypatch):
+        from nsvol import banded
+
+        model = state_dependent()
+        g = poisson_grid(1.0, 2.0, 1.0, bn=60, seed=1)
+        engine = QuasiLikEngine(model, _sample(model, [1.0, 1.5], g))
+
+        def refuse(band):
+            raise AssertionError("loglik factored a band")
+
+        monkeypatch.setattr(banded, "cholesky", refuse)
+        for s in ([1.0, 1.5], [0.7, 2.1]):
+            assert np.isfinite(engine.loglik(s))

@@ -330,3 +330,45 @@ class TestGridFiles:
         (tmp_path / "t.csv").write_text("index,time\n0,0.0\n1,1.0\n")
         with pytest.raises(SchemeError, match="row 4 .*duplicate index 1"):
             load_grid_csv(tmp_path / "s.csv", tmp_path / "t.csv")
+
+    def _csv_pair(self, tmp_path, s_rows):
+        (tmp_path / "s.csv").write_text("index,time\n" + s_rows)
+        (tmp_path / "t.csv").write_text("index,time\n0,0.0\n1,1.0\n")
+        return tmp_path / "s.csv", tmp_path / "t.csv"
+
+    def test_csv_index_gap(self, tmp_path):
+        paths = self._csv_pair(tmp_path, "0,0.0\n1,0.5\n3,1.0\n")
+        with pytest.raises(SchemeError, match=r"s\.csv, row 4 .*index 3 "
+                           r"leaves a gap; index 2 is missing"):
+            load_grid_csv(*paths)
+
+    def test_csv_negative_index(self, tmp_path):
+        paths = self._csv_pair(tmp_path, "0,0.0\n-1,0.5\n1,1.0\n")
+        with pytest.raises(SchemeError,
+                           match=r"s\.csv, row 3 .*negative index -1"):
+            load_grid_csv(*paths)
+
+    def test_csv_malformed_row(self, tmp_path):
+        paths = self._csv_pair(tmp_path, "0,0.0\n1;0.5\n2,1.0\n")
+        with pytest.raises(SchemeError,
+                           match=r"s\.csv, row 3 \('1;0\.5'\): malformed"):
+            load_grid_csv(*paths)
+
+    def test_csv_fewer_than_two_times(self, tmp_path):
+        paths = self._csv_pair(tmp_path, "0,0.0\n")
+        with pytest.raises(SchemeError, match=r"s\.csv: .*at least two"):
+            load_grid_csv(*paths)
+
+    def test_json_missing_field(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"s_times": [0, 0.5, 1], "horizon": 1.0}))
+        with pytest.raises(SchemeError, match=r"grid\.json: missing field "
+                           r"'t_times'"):
+            load_grid_json(path)
+
+    def test_json_fewer_than_two_times(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"s_times": [], "t_times": [0, 1]}))
+        with pytest.raises(SchemeError, match=r"grid\.json, field 's_times':"
+                           r" .*at least two"):
+            load_grid_json(path)

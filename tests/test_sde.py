@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from nsvol.errors import ParameterOutOfDomainError, SchemeError, SimulationError
-from nsvol.models import correlated_bm, get_model, scalar_bm, state_dependent
+from nsvol.models import (MODELS, correlated_bm, get_model, scalar_bm,
+                          state_dependent)
 from nsvol.scheme import ObservationGrid, poisson_grid, uniform_grid
 from nsvol.sde import (DiffusionModel, default_max_step, observe,
                        read_sample_csv, simulate_path, write_sample_csv)
@@ -236,3 +239,37 @@ class TestSampleCsv:
                                    bad_row, *rows[4:]]) + "\n")
         with pytest.raises(SchemeError, match=f"row 6 .*{message}"):
             read_sample_csv(path, g)
+
+
+class TestScales:
+    @pytest.mark.parametrize("name", [n for n in MODELS
+                                      if get_model(n).scales is not None])
+    def test_rows_are_unit_rows_times_scales(self, name):
+        model = get_model(name)
+        i1, i2 = model.scales
+        unit = np.ones(model.dim_param)
+        rng = np.random.default_rng(3)
+        box = model.param_box
+        for _ in range(5):
+            sigma = rng.uniform(box[:, 0], box[:, 1])
+            t = rng.uniform(0, 1, size=4)
+            x = rng.normal(size=(4, 2))
+            b1, b2 = model.coeff_rows(t, x, sigma)
+            u1, u2 = model.coeff_rows(t, x, unit)
+            assert np.allclose(b1, sigma[i1] * u1, rtol=1e-14, atol=0)
+            assert np.allclose(b2, sigma[i2] * u2, rtol=1e-14, atol=0)
+
+    def test_correlation_model_makes_no_claim(self):
+        assert get_model("corr").scales is None
+
+    @pytest.mark.parametrize("scales", [(0,), (0, 0, 1), (0, 0), (1, 1),
+                                        (0, 2), (-1, 0), (0.0, 1)])
+    def test_rejects_scales_not_naming_each_parameter(self, scales):
+        with pytest.raises(ValueError, match="scales"):
+            dataclasses.replace(state_dependent(), scales=scales)
+
+    def test_rejects_nonpositive_scale_box(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            state_dependent(box=((0.4, 2.5), (0.0, 2.5)))
+        with pytest.raises(ValueError, match="strictly positive"):
+            scalar_bm(box=((-1.0, 1.0),))
