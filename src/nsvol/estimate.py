@@ -1,14 +1,16 @@
 """Point estimation from one nonsynchronous sample.
 
-Provides the quasi-maximum-likelihood estimator (multi-start simplex over
-the closed parameter box, then coordinate polish), the Bayes-type estimator
-(posterior mean under a bounded prior, computed by panelized Gauss-Legendre
+Provides the quasi-maximum-likelihood estimator (the closed-form argmax
+for a pure-scale model, otherwise multi-start simplex over the closed
+parameter box, then coordinate polish), the Bayes-type estimator (posterior
+mean under a bounded prior, computed by panelized Gauss-Legendre
 quadrature), the observed-information pair used for studentization, and the
 two covariation estimators that the efficiency comparison is built on.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -83,20 +85,12 @@ def _default_starts(box):
     return starts
 
 
-def qmle_detail(engine: QuasiLikEngine, starts=None, xtol=1e-8,
-                polish_sweeps=2) -> QmleResult:
-    """Maximize the quasi-log-likelihood over the closed parameter box.
-
-    Multi-start simplex (coarse tolerance) locates the basin; a tight
-    simplex restart from the winner plus coordinate-wise bounded refinement
-    sharpens the argmax to ``xtol``.
-    """
-    box = engine.model.param_box
+def _simplex_argmax(obj, box, starts, xtol, polish_sweeps):
+    """``(x, -loglik(x))``: multi-start simplex (coarse tolerance) locates
+    the basin; a tight simplex restart from the winner plus coordinate-wise
+    bounded refinement sharpens the argmax to ``xtol``."""
     lo, hi = box[:, 0], box[:, 1]
     span = hi - lo
-    obj = _Objective(engine)
-    if starts is None:
-        starts = _default_starts(box)
     best_x = None
     best_f = np.inf
     coarse = float(1e-3 * span.min())
@@ -133,6 +127,36 @@ def qmle_detail(engine: QuasiLikEngine, starts=None, xtol=1e-8,
             if res.fun <= best_f:
                 best_f = res.fun
                 x[j] = res.x
+    return x, best_f
+
+
+def qmle_detail(engine: QuasiLikEngine, starts=None, xtol=1e-8,
+                polish_sweeps=2) -> QmleResult:
+    """Maximize the quasi-log-likelihood over the closed parameter box.
+
+    A pure-scale model (``engine.model.scales``) takes the exact argmax
+    ``engine.scale_argmax()``; the starts are only probed, so
+    ``n_evaluations`` counts the starts plus the argmax, and ``xtol`` and
+    ``polish_sweeps`` do not apply.  Any other model runs a multi-start
+    simplex (coarse tolerance) to locate the basin, then a tight simplex
+    restart from the winner plus coordinate-wise bounded refinement sharpen
+    the argmax to ``xtol``.  ``degenerate`` flags a likelihood whose values
+    at every evaluated point agree to 1e-9 relative.
+    """
+    box = engine.model.param_box
+    lo, hi = box[:, 0], box[:, 1]
+    obj = _Objective(engine)
+    if starts is None:
+        starts = _default_starts(box)
+    if engine.model.scales is None:
+        x, best_f = _simplex_argmax(obj, box, starts, xtol, polish_sweeps)
+    else:
+        for x0 in starts:
+            obj(np.clip(np.asarray(x0, dtype=float), lo, hi))
+        if not np.isfinite(obj.best):
+            raise EstimationError("no start produced a factorizable covariance")
+        x = engine.scale_argmax()
+        best_f = obj(x)
     if obj.n_failures and obj.n_failures == obj.n_evaluations:
         raise EstimationError("every evaluation failed to factorize")
 
@@ -155,37 +179,33 @@ def qmle(engine: QuasiLikEngine, **kwargs) -> np.ndarray:
 # Bayes-type estimator
 # ---------------------------------------------------------------------------
 
-_GL_CACHE = {}
-
-
-def _gl_rule(m):
-    if m not in _GL_CACHE:
-        _GL_CACHE[m] = leggauss(m)
-    return _GL_CACHE[m]
+@functools.lru_cache(maxsize=None)
+def _unit_tensor(m, d):
+    """Tensor Gauss-Legendre rule with ``m`` nodes per axis on ``[0, 1]^d``:
+    nodes ``(m^d, d)`` and the per-axis weights of ``[-1, 1]`` at them."""
+    xi, wi = leggauss(m)
+    nodes = np.stack([g.ravel() for g in np.meshgrid(
+        *[0.5 * (xi + 1.0)] * d, indexing="ij")], axis=-1)
+    weights = np.stack([g.ravel() for g in np.meshgrid(
+        *[wi] * d, indexing="ij")], axis=-1)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 class _Panel:
-    """One quadrature box with stabilized weight sums."""
+    """One quadrature box with stabilized weight sums; its nodes are scored
+    by one ``loglik_batch`` call."""
 
     __slots__ = ("lo", "hi", "hmax", "mass", "moment", "n_ok")
 
     def __init__(self, engine, prior, lo, hi, nodes_per_dim):
         self.lo = lo
         self.hi = hi
-        xi, wi = _gl_rule(nodes_per_dim)
-        axes = [lo[j] + 0.5 * (xi + 1.0) * (hi[j] - lo[j])
-                for j in range(lo.size)]
-        wts = [0.5 * (hi[j] - lo[j]) * wi for j in range(lo.size)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*wts, indexing="ij")
-        w = np.prod(np.stack([m.ravel() for m in wmesh], axis=-1), axis=-1)
-        vals = np.full(pts.shape[0], -np.inf)
-        for k in range(pts.shape[0]):
-            try:
-                vals[k] = engine.loglik(pts[k])
-            except NotPositiveDefiniteError:
-                continue
+        nodes, wunit = _unit_tensor(nodes_per_dim, lo.size)
+        pts = lo + nodes * (hi - lo)
+        w = np.prod(0.5 * (hi - lo) * wunit, axis=-1)
+        vals = engine.loglik_batch(pts)
         ok = np.isfinite(vals)
         self.n_ok = int(ok.sum())
         if self.n_ok == 0:
@@ -211,6 +231,10 @@ def bayes(engine: QuasiLikEngine, prior=None, *, nodes_per_dim=None,
     the posterior mass is recursively bisected (per dimension) until no
     panel dominates, which resolves sharply peaked likelihoods without a
     global fine grid; this is the default for three or more parameters.
+    Each panel scores its nodes with one ``engine.loglik_batch`` call: one
+    array expression for a pure-scale model, a node-by-node loop
+    otherwise.  Raises ``EstimationError`` when no node's covariance
+    factors.
     """
     d = engine.model.dim_param
     box = engine.model.param_box

@@ -32,7 +32,12 @@ A pure-scale model (``DiffusionModel.scales = (i1, i2)``) has
     H(sigma) = -1/2 (q11/l1^2 + 2 q12/(l1 l2) + q22/l2^2)
                - n1 log l1 - n2 log l2 - 1/2 log det S(1)
 
-with no factorization.  The analytic gradient keeps the banded path.
+with no factorization.  Its argmax over the box is a closed form too
+(``QuasiLikEngine.scale_argmax``): with ``u = 1/l1``, ``v = 1/l2`` the
+negated likelihood is strictly convex, so the stationary point is the
+answer when it lies in the box, and otherwise the best of the four edge
+minimizers, each the positive root of a quadratic clipped to its edge.
+The analytic gradient keeps the banded path.
 """
 
 from __future__ import annotations
@@ -129,6 +134,50 @@ def _row_dots(a, b, ia=None, ib=None):
         return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
     return (a[:, 0].take(ia) * b[:, 0].take(ib)
             + a[:, 1].take(ia) * b[:, 1].take(ib))
+
+
+def _scale_objective(q11, q12, q22, n1, n2, l1, l2):
+    """``-H - 1/2 log det S(1)`` of a pure-scale model at scales
+    ``(l1, l2)``; scalars or broadcasting arrays."""
+    return (0.5 * (q11 / l1 ** 2 + 2.0 * q12 / (l1 * l2) + q22 / l2 ** 2)
+            + n1 * np.log(l1) + n2 * np.log(l2))
+
+
+def _positive_root(a, b, c):
+    """Positive root of ``a x^2 + b x - c = 0`` for ``a >= 0, c > 0``;
+    ``inf`` when there is none (``a = 0, b <= 0``)."""
+    disc = np.sqrt(b * b + 4.0 * a * c)
+    if b > 0:
+        return 2.0 * c / (b + disc)  # no cancellation
+    return (disc - b) / (2.0 * a) if a > 0 else np.inf
+
+
+def _argmax_two_scales(q11, q12, q22, n1, n2, lo, hi):
+    """Argmax ``(l1, l2)`` over ``[lo, hi]`` (per scale) of the pure-scale
+    closed form with two distinct scales.
+
+    In ``u = 1/l1, v = 1/l2`` the objective
+    ``F = 1/2 (q11 u^2 + 2 q12 u v + q22 v^2) - n1 log u - n2 log v`` is
+    strictly convex (``Q`` is positive semidefinite).  Its stationary point
+    has ``r = v/u`` the positive root of
+    ``n1 q22 r^2 + (n1 - n2) q12 r - n2 q11 = 0`` and
+    ``u^2 = n1 / (q11 + q12 r)``; it is the answer when it lies in the box.
+    Otherwise the minimum lies on an edge, where the free coordinate is
+    the positive root of a quadratic clipped to its range.
+    """
+    r = _positive_root(n1 * q22, (n1 - n2) * q12, n2 * q11)
+    if 0.0 < r < np.inf and q11 + q12 * r > 0.0:
+        l1 = np.sqrt((q11 + q12 * r) / n1)
+        l2 = l1 / r
+        if lo[0] <= l1 <= hi[0] and lo[1] <= l2 <= hi[1]:
+            return np.array([l1, l2])
+    cand = [(e, np.clip(1.0 / _positive_root(q22, q12 / e, n2), lo[1], hi[1]))
+            for e in (lo[0], hi[0])]
+    cand += [(np.clip(1.0 / _positive_root(q11, q12 / e, n1), lo[0], hi[0]), e)
+             for e in (lo[1], hi[1])]
+    l1, l2 = np.array(cand).T
+    best = int(np.argmin(_scale_objective(q11, q12, q22, n1, n2, l1, l2)))
+    return np.array(cand[best])
 
 
 def build_S(model: DiffusionModel, sigma, sample: NonsyncSample,
@@ -282,6 +331,23 @@ class QuasiLikEngine:
         q11, q22 = (qBB, qAA) if self._swap else (qAA, qBB)
         return float(q11), float(qAB), float(q22), float(self._logdet(dA, cb))
 
+    def _unit_or_raise(self):
+        """The unit forms, or the unit factor's error raised afresh:
+        positive scales leave every leading minor's sign, so S(sigma)
+        fails at the same pivot as S(1)."""
+        if isinstance(self._unit, NotPositiveDefiniteError):
+            raise NotPositiveDefiniteError(str(self._unit),
+                                           pivot=self._unit.pivot)
+        return self._unit
+
+    def _closed_form(self, sigma):
+        """Pure-scale likelihood at ``sigma``, one point or ``(m, d)``."""
+        q11, q12, q22, logdet = self._unit_or_raise()
+        i1, i2 = self.model.scales
+        n1, n2 = self.grid.n_intervals1, self.grid.n_intervals2
+        return (-_scale_objective(q11, q12, q22, n1, n2, sigma[..., i1],
+                                  sigma[..., i2]) - 0.5 * logdet)
+
     def loglik(self, sigma):
         """Quasi-log-likelihood at ``sigma``.
 
@@ -294,18 +360,54 @@ class QuasiLikEngine:
             return float(-0.5 * (self._zA @ xA + self._zB @ xB)
                          - 0.5 * self._logdet(dA, cb))
         self.model.require_in_box(sigma)
-        if isinstance(self._unit, NotPositiveDefiniteError):
-            # positive scales leave every leading minor's sign, so S(sigma)
-            # fails at the same pivot as S(1)
-            raise NotPositiveDefiniteError(str(self._unit),
-                                           pivot=self._unit.pivot)
-        q11, q12, q22, logdet = self._unit
-        sigma = np.asarray(sigma, dtype=float).reshape(-1)
-        l1, l2 = (sigma[i] for i in self.model.scales)
+        return float(self._closed_form(
+            np.asarray(sigma, dtype=float).reshape(-1)))
+
+    def loglik_batch(self, points):
+        """Quasi-log-likelihood at each row of an ``(m, d)`` array of points,
+        ``-inf`` where ``S`` fails to factor.
+
+        A pure-scale model evaluates the closed form on the whole array;
+        any other model calls ``loglik`` point by point.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise ValueError("points must be an (m, d) array")
+        self.model.require_in_box(points)
+        if self._unit is not None:
+            if isinstance(self._unit, NotPositiveDefiniteError):
+                return np.full(points.shape[0], -np.inf)
+            return self._closed_form(points)
+        vals = np.full(points.shape[0], -np.inf)
+        for k, p in enumerate(points):
+            try:
+                vals[k] = self.loglik(p)
+            except NotPositiveDefiniteError:
+                continue
+        return vals
+
+    def scale_argmax(self):
+        """Exact argmax over the box of a pure-scale model's likelihood.
+
+        With one shared scale (``i1 == i2``) the likelihood is unimodal in
+        it and peaks at ``sqrt((q11 + 2 q12 + q22) / (n1 + n2))``, clipped
+        to the box; two scales go through ``_argmax_two_scales``.  Raises
+        ``NotPositiveDefiniteError`` when ``S(1)`` does not factor.
+        """
+        if self._unit is None:
+            raise EstimationError("scale_argmax needs a model with scales")
+        q11, q12, q22, _ = self._unit_or_raise()
+        i1, i2 = self.model.scales
         n1, n2 = self.grid.n_intervals1, self.grid.n_intervals2
-        return float(-0.5 * (q11 / l1 ** 2 + 2.0 * q12 / (l1 * l2)
-                             + q22 / l2 ** 2)
-                     - n1 * np.log(l1) - n2 * np.log(l2) - 0.5 * logdet)
+        lo, hi = self.model.param_box[:, 0], self.model.param_box[:, 1]
+        sigma = np.empty(self.model.dim_param)
+        if i1 == i2:
+            quad = max(q11 + 2.0 * q12 + q22, 0.0)
+            sigma[i1] = np.clip(np.sqrt(quad / (n1 + n2)), lo[i1], hi[i1])
+        else:
+            sigma[[i1, i2]] = _argmax_two_scales(
+                q11, q12, q22, n1, n2, lo[[i1, i2]], hi[[i1, i2]])
+        return sigma
 
     def loglik_dense(self, sigma):
         """Dense-oracle evaluation, independent of the banded path."""

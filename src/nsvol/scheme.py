@@ -304,8 +304,11 @@ def operator_norm(overlap: OverlapMatrix, iters=80):
 def resolvent_diag(overlap, z, side, upto=None):
     """Diagonal of ``(I - z^2 GG*)^{-1}`` (side 1) or the ``G*G`` analog.
 
-    Only the first ``upto`` entries are returned when ``upto`` is given.
+    Only the first ``upto`` entries are returned when ``upto`` is given;
+    a negative ``upto`` raises ``ValueError``.
     """
+    if upto is not None and upto < 0:
+        raise ValueError(f"upto must be >= 0, got {upto}")
     n = overlap.rows if side == 1 else overlap.cols
     if z == 0.0:
         return np.ones(n if upto is None else min(upto, n))
@@ -414,6 +417,8 @@ def theta_length_sums(grid: ObservationGrid, p_max):
     Returns ``sums[p] = sum_l |theta(p, l)|`` for ``p = 0, ..., p_max``.
     Threshold choice against these raw sums is left to the caller.
     """
+    if p_max < 0:
+        raise ValueError("p_max must be >= 0")
     n = grid.n_intervals1 + grid.n_intervals2
     sums = np.zeros(p_max + 1)
     for l in range(n):

@@ -83,7 +83,11 @@ class DiffusionModel:
         object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float).reshape(2))
 
     def contains(self, sigma, tol=0.0):
-        sigma = np.asarray(sigma, dtype=float).reshape(self.dim_param)
+        """Whether ``sigma``, one point or an ``(m, d)`` array of points,
+        lies in the box widened by ``tol``."""
+        sigma = np.asarray(sigma, dtype=float)
+        sigma = sigma.reshape(sigma.shape[:-1] + (self.dim_param,)
+                              if sigma.ndim > 1 else self.dim_param)
         lo, hi = self.param_box[:, 0], self.param_box[:, 1]
         return bool(np.all(sigma >= lo - tol) and np.all(sigma <= hi + tol))
 

@@ -1,8 +1,9 @@
 """Acceptance suite: each numbered criterion at its stated tolerance.
 
 Every test prints one ``[criterion NN] PASS/FAIL`` line (visible with
-``pytest -s`` or on failure).  The Monte Carlo fixtures are module-scoped:
-the full suite performs roughly ten minutes of simulation work.
+``pytest -s`` or on failure).  The Monte Carlo fixtures are module-scoped;
+the criteria that read them (6-9) are marked ``slow``, because
+``mc_corr_1000`` alone takes about three minutes.
 """
 
 import time
@@ -198,6 +199,7 @@ def test_criterion_05_information_two_routes():
 # -- criterion 6: LAMN studentization -----------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_06_lamn_ks(mc_scalar_1000):
     block = mc_scalar_1000.summaries["per_n"]["1000"]["studentized"]
     pmin = min(block["ks_pvalue"])
@@ -209,6 +211,7 @@ def test_criterion_06_lamn_ks(mc_scalar_1000):
 # -- criterion 7: convergence rate --------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_07_rate(mc_scalar_ladder):
     slope = mc_scalar_ladder.summaries["rmse_slope"]
     _report(7, -0.65 <= slope <= -0.35, f"log-log RMSE slope {slope:.3f}")
@@ -217,6 +220,7 @@ def test_criterion_07_rate(mc_scalar_ladder):
 # -- criterion 8: efficiency versus overlap covariation -----------------------
 
 
+@pytest.mark.slow
 def test_criterion_08_efficiency(mc_corr_1000):
     entry = mc_corr_1000.summaries["per_n"]["1000"]
     reps = entry["replicates"]
@@ -235,6 +239,7 @@ def test_criterion_08_efficiency(mc_corr_1000):
 # -- criterion 9: Bayes and QMLE agree ----------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_09_bayes_agreement(mc_scalar_ladder, mc_scalar_1000):
     gaps = [mc_scalar_ladder.summaries["per_n"][str(n)]
             ["bayes_qmle_median_gap"] for n in (250, 1000, 4000)]

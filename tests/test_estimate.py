@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nsvol.estimate import (bayes, hayashi_yoshida, observed_info,
+from nsvol.errors import EstimationError
+from nsvol.estimate import (_Panel, bayes, hayashi_yoshida, observed_info,
                             plugin_covariation, qmle, qmle_detail,
                             run_estimation)
 from nsvol.likelihood import QuasiLikEngine
@@ -9,7 +12,7 @@ from nsvol.models import correlated_bm, scalar_bm, state_dependent
 from nsvol.scheme import ObservationGrid, poisson_grid, uniform_grid
 from nsvol.sde import observe, simulate_path
 
-from conftest import sample_with_values
+from conftest import make_constant_model, sample_with_values
 
 
 def _engine(model, sigma, grid, seed=0):
@@ -44,6 +47,24 @@ class TestQmle:
         detail = qmle_detail(engine)
         assert detail.on_boundary
         assert detail.sigma[0] == pytest.approx(0.5, abs=1e-6)
+
+    def test_pure_scale_counts_probes(self):
+        # the closed-form argmax evaluates the five starts and itself
+        model = state_dependent()
+        g = poisson_grid(1.0, 2.0, 1.0, bn=150, seed=1)
+        detail = qmle_detail(_engine(model, [1.0, 1.5], g, seed=2))
+        assert detail.n_evaluations == 6
+        assert detail.n_failures == 0
+
+    def test_unit_factor_failure(self):
+        # parallel rows: S(1), hence every S(sigma), is singular
+        model = dataclasses.replace(
+            make_constant_model([[1.0, 0.0], [1.0, 0.0]], sigma_scales=True),
+            scales=(0, 0))
+        engine = _engine(model, [1.0], uniform_grid(4, 4, 0.0, 1.0))
+        with pytest.raises(EstimationError,
+                           match="no start produced a factorizable"):
+            qmle_detail(engine)
 
     def test_stationarity_at_interior_optimum(self):
         model = correlated_bm()
@@ -117,6 +138,50 @@ class TestBayes:
         fine = bayes(engine, nodes_per_dim=801, adaptive=False)
         adapt = bayes(engine, adaptive=True)
         assert adapt[0] == pytest.approx(fine[0], abs=2e-4)
+
+    @pytest.mark.parametrize("factory,sigma", [
+        (state_dependent, [1.0, 1.5]), (scalar_bm, [1.0]),
+        (correlated_bm, [1.0, 0.5])])
+    def test_panel_matches_pointwise_quadrature(self, factory, sigma):
+        # oracle: per-axis Gauss-Legendre rule and one loglik per node
+        model = factory()
+        g = poisson_grid(1.0, 2.0, 1.0, bn=60, seed=3)
+        engine = _engine(model, sigma, g, seed=4)
+        lo, hi = model.param_box[:, 0], 0.5 * model.param_box.sum(axis=1)
+        xi, wi = np.polynomial.legendre.leggauss(9)
+        axes = [lo[j] + 0.5 * (xi + 1.0) * (hi[j] - lo[j])
+                for j in range(lo.size)]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                       axis=-1)
+        w = np.prod(np.stack([m.ravel() for m in np.meshgrid(
+            *[0.5 * (hi[j] - lo[j]) * wi for j in range(lo.size)],
+            indexing="ij")], axis=-1), axis=-1)
+        vals = np.array([engine.loglik(p) for p in pts])
+        ew = w * np.exp(vals - vals.max())
+        panel = _Panel(engine, lambda s: 1.0, lo, hi, 9)
+        assert panel.n_ok == pts.shape[0]
+        if model.scales is None:
+            assert panel.hmax == vals.max()
+            assert panel.mass == ew.sum()
+            assert np.array_equal(panel.moment, (pts * ew[:, None]).sum(0))
+        else:
+            assert panel.hmax == pytest.approx(vals.max(), rel=1e-15)
+            assert panel.mass == pytest.approx(ew.sum(), rel=1e-12)
+            assert panel.moment == pytest.approx((pts * ew[:, None]).sum(0),
+                                                 rel=1e-12)
+
+    def test_unit_factor_failure(self):
+        model = dataclasses.replace(
+            make_constant_model([[1.0, 0.0], [1.0, 0.0]], sigma_scales=True),
+            scales=(0, 0))
+        engine = _engine(model, [1.0], uniform_grid(4, 4, 0.0, 1.0))
+        box = model.param_box
+        panel = _Panel(engine, lambda s: 1.0, box[:, 0], box[:, 1], 15)
+        assert panel.n_ok == 0 and panel.hmax == -np.inf
+        for adaptive in (False, True):
+            with pytest.raises(EstimationError,
+                               match="no quadrature node produced"):
+                bayes(engine, adaptive=adaptive)
 
 
 class TestObservedInfo:

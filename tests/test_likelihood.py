@@ -3,10 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
-from nsvol.errors import NotPositiveDefiniteError, ParameterOutOfDomainError
-from nsvol.likelihood import QuasiLikEngine, build_S, dense_quasi_loglik
+from nsvol.errors import (EstimationError, NotPositiveDefiniteError,
+                          ParameterOutOfDomainError)
+from nsvol.estimate import qmle_detail
+from nsvol.likelihood import (QuasiLikEngine, _argmax_two_scales, build_S,
+                              dense_quasi_loglik)
 from nsvol.models import correlated_bm, scalar_bm, state_dependent
 from nsvol.scheme import ObservationGrid, poisson_grid, uniform_grid
 from nsvol.sde import observe, simulate_path
@@ -372,3 +377,143 @@ class TestPureScale:
         monkeypatch.setattr(banded, "cholesky", refuse)
         for s in ([1.0, 1.5], [0.7, 2.1]):
             assert np.isfinite(engine.loglik(s))
+
+
+def _neg_profile(q, n1, n2, l1, l2):
+    """F = 1/2 (q11 u^2 + 2 q12 u v + q22 v^2) - n1 log u - n2 log v."""
+    u, v = 1.0 / l1, 1.0 / l2
+    return (0.5 * (q[0] * u * u + 2.0 * q[1] * u * v + q[2] * v * v)
+            + n1 * np.log(l1) + n2 * np.log(l2))
+
+
+def _reference_argmin(q, n1, n2, lo, hi, m=41):
+    """Brute-force grid over the box, refined by bounded L-BFGS-B from
+    the best few grid points."""
+    g1 = np.linspace(lo[0], hi[0], m)
+    g2 = np.linspace(lo[1], hi[1], m)
+    L1, L2 = np.meshgrid(g1, g2, indexing="ij")
+    vals = _neg_profile(q, n1, n2, L1, L2).ravel()
+    best = np.inf
+    for k in np.argsort(vals)[:4]:
+        x0 = np.array([L1.ravel()[k], L2.ravel()[k]])
+        res = minimize(lambda x: _neg_profile(q, n1, n2, x[0], x[1]), x0,
+                       method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                       options={"ftol": 1e-15, "gtol": 1e-12})
+        best = min(best, res.fun, vals[k])
+    return best
+
+
+@st.composite
+def _scale_problems(draw):
+    """Random positive semidefinite Q (rank 0, 1 or 2, optionally with
+    q22 = 0), counts n1, n2 and a box that may or may not hold the
+    unconstrained optimum."""
+    entry = st.floats(-5.0, 5.0, allow_nan=False)
+    rank = draw(st.integers(0, 2))
+    L = np.array([[draw(entry) for _ in range(rank)] for _ in range(2)])
+    if rank and draw(st.booleans()):
+        L[1] = 0.0
+    Q = L @ L.T if rank else np.zeros((2, 2))
+    n1, n2 = draw(st.integers(1, 500)), draw(st.integers(1, 500))
+    base = np.sqrt((Q[0, 0] + Q[1, 1]) / (n1 + n2)) or 1.0
+    lo = base * np.exp([draw(st.floats(-3.0, 1.0)) for _ in range(2)])
+    hi = lo * np.exp([draw(st.floats(0.01, 4.0)) for _ in range(2)])
+    return (Q[0, 0], Q[0, 1], Q[1, 1]), n1, n2, lo, hi
+
+
+class TestScaleArgmax:
+    """The closed-form QMLE of a pure-scale model."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_scale_problems())
+    def test_two_scales_beat_bounded_reference(self, problem):
+        q, n1, n2, lo, hi = problem
+        l1, l2 = _argmax_two_scales(*q, n1, n2, lo, hi)
+        assert lo[0] <= l1 <= hi[0] and lo[1] <= l2 <= hi[1]
+        closed = _neg_profile(q, n1, n2, l1, l2)
+        ref = _reference_argmin(q, n1, n2, lo, hi)
+        assert closed <= ref + 1e-12 * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("q,lo,hi,expect", [
+        # Q = 0: F = n1 log l1 + n2 log l2 falls to the lower corner
+        ((0.0, 0.0, 0.0), (0.5, 0.5), (2.0, 2.0), (0.5, 0.5)),
+        # diagonal Q: l_k = sqrt(q_kk / n_k) = (1, 2), inside the box
+        ((50.0, 0.0, 400.0), (0.5, 0.5), (3.0, 3.0), (1.0, 2.0)),
+        # same optimum, box cuts l2 at 1.5: the edge minimizer
+        ((50.0, 0.0, 400.0), (0.5, 0.5), (3.0, 1.5), (1.0, 1.5)),
+    ])
+    def test_known_optima(self, q, lo, hi, expect):
+        got = _argmax_two_scales(*q, 50, 100, np.array(lo), np.array(hi))
+        assert got == pytest.approx(expect, rel=1e-14)
+
+    @pytest.mark.parametrize("factory,kw,sigma,rates", [
+        (state_dependent, {}, [1.0, 1.5], (1.0, 2.0)),
+        (state_dependent, {}, [1.0, 1.5], (2.0, 1.0)),
+        (scalar_bm, {}, [1.0], (1.0, 2.5)),
+        # narrow boxes pin one or both scales to the boundary
+        (state_dependent, {"box": ((0.4, 0.9), (0.4, 2.5))}, [1.0, 1.5],
+         (1.0, 2.0)),
+        (scalar_bm, {"box": ((0.2, 0.5),)}, [2.5], (1.0, 1.0)),
+    ])
+    def test_engine_matches_simplex(self, factory, kw, sigma, rates):
+        model = factory(**kw)
+        g = poisson_grid(*rates, 1.0, bn=150, seed=3)
+        sample = _sample(factory(), sigma, g, seed=4)
+        closed = qmle_detail(QuasiLikEngine(model, sample))
+        simplex = qmle_detail(QuasiLikEngine(
+            dataclasses.replace(model, scales=None), sample))
+        assert closed.sigma == pytest.approx(simplex.sigma, rel=1e-6)
+        assert closed.value >= simplex.value - 1e-10 * (1 + abs(simplex.value))
+        assert closed.on_boundary == simplex.on_boundary
+        assert closed.degenerate == simplex.degenerate is False
+        assert closed.n_evaluations == 2 * model.dim_param + 2
+
+    def test_needs_scales(self):
+        model = correlated_bm()
+        g = poisson_grid(1.0, 1.0, 1.0, bn=30, seed=1)
+        engine = QuasiLikEngine(model, _sample(model, [1.0, 0.5], g))
+        with pytest.raises(EstimationError):
+            engine.scale_argmax()
+
+
+class TestLoglikBatch:
+    """``loglik_batch`` agrees with ``loglik`` point by point."""
+
+    @pytest.mark.parametrize("factory,sigma,rates", [
+        (state_dependent, [1.0, 1.5], (1.0, 2.0)),
+        (state_dependent, [1.0, 1.5], (2.0, 1.0)),
+        (scalar_bm, [1.0], (1.0, 2.5)),
+        (correlated_bm, [1.0, 0.5], (1.0, 2.0)),
+    ])
+    def test_matches_pointwise(self, factory, sigma, rates):
+        model = factory()
+        g = poisson_grid(*rates, 1.0, bn=80, seed=2)
+        engine = QuasiLikEngine(model, _sample(model, sigma, g, seed=5))
+        lo, hi = model.param_box[:, 0], model.param_box[:, 1]
+        pts = np.random.default_rng(0).uniform(lo, hi, (60, lo.size))
+        got = engine.loglik_batch(pts)
+        ref = np.array([engine.loglik(p) for p in pts])
+        if model.scales is None:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+
+    def test_failed_unit_factor_gives_minus_inf(self):
+        model = dataclasses.replace(
+            make_constant_model([[1.0, 0.0], [1.0, 0.0]], sigma_scales=True),
+            scales=(0, 0))
+        g = uniform_grid(4, 4, 0.0, 1.0)
+        engine = QuasiLikEngine(model, _sample(model, [1.0], g))
+        got = engine.loglik_batch(np.array([[0.5], [1.0], [3.0]]))
+        assert np.array_equal(got, np.full(3, -np.inf))
+        with pytest.raises(NotPositiveDefiniteError):
+            engine.scale_argmax()
+
+    def test_rejects_bad_points(self):
+        model = state_dependent()
+        g = poisson_grid(1.0, 2.0, 1.0, bn=30, seed=1)
+        engine = QuasiLikEngine(model, _sample(model, [1.0, 1.5], g))
+        with pytest.raises(ParameterOutOfDomainError):
+            engine.loglik_batch(np.array([[1.0, 1.0], [1.0, 9.0]]))
+        with pytest.raises(ValueError):
+            engine.loglik_batch(np.array([1.0, 1.0]))

@@ -6,7 +6,8 @@ import pytest
 from nsvol.errors import SchemeError
 from nsvol.scheme import (ObservationGrid, check_a2, diag_power_traces,
                           load_grid_csv, load_grid_json, operator_norm,
-                          overlap_matrix, poisson_grid, resolvent_trace,
+                          overlap_matrix, poisson_grid, resolvent_diag,
+                          resolvent_trace,
                           save_grid_json, theta_interval, theta_length_sums,
                           uniform_grid, validate_deltas)
 
@@ -141,6 +142,14 @@ class TestResolventTrace:
         with pytest.raises(SchemeError):
             resolvent_trace(ov, -1.2)
 
+    @pytest.mark.parametrize("z", [0.0, 0.5])
+    def test_diag_rejects_negative_upto(self, z):
+        ov = overlap_matrix(uniform_grid(4, 4, 0.0, 1.0))
+        for side in (1, 2):
+            assert resolvent_diag(ov, z, side, upto=0).size == 0
+            with pytest.raises(ValueError, match="upto"):
+                resolvent_diag(ov, z, side, upto=-1)
+
     def test_against_dense_oracle(self):
         g = poisson_grid(1.0, 1.4, 1.0, bn=90, seed=3)
         ov = overlap_matrix(g)
@@ -240,6 +249,11 @@ class TestThetaIntervals:
         g = uniform_grid(3, 3, 0.0, 1.0)
         with pytest.raises(SchemeError):
             theta_interval(g, 1, 6)
+
+    @pytest.mark.parametrize("p_max", [-1, -2])
+    def test_length_sums_reject_negative_depth(self, p_max):
+        with pytest.raises(ValueError, match="p_max"):
+            theta_length_sums(uniform_grid(3, 3, 0.0, 1.0), p_max)
 
     def test_length_sums_monotone(self):
         g = uniform_grid(8, 7, 0.3, 1.0)
