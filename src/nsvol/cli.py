@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -156,7 +157,9 @@ def _cmd_mc(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``nsvol`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nsvol",
         description="Volatility estimation for nonsynchronously observed "
@@ -231,8 +234,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

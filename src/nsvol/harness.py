@@ -20,8 +20,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import EstimationError
-from .estimate import (bayes, hayashi_yoshida, observed_info,
-                       plugin_covariation, qmle_detail)
+from .estimate import run_estimation
 from .likelihood import QuasiLikEngine
 from .models import get_model
 from .scheme import grid_from_spec
@@ -119,31 +118,22 @@ class MonteCarloReport:
 
 def _run_one(config: ExperimentConfig, model, sigma_star, nidx, n, rep):
     t0 = time.perf_counter()
-    row = ReplicateRow(n=n, rep=rep)
     try:
         grid = config.make_grid(n, seed=[config.seed, nidx, rep, 0])
         path = simulate_path(model, sigma_star, grid,
                              max_step=config.max_step,
                              seed=[config.seed, nidx, rep, 1])
-        sample = observe(path, grid)
-        engine = QuasiLikEngine(model, sample)
-        detail = qmle_detail(engine)
-        row.sigma_hat = detail.sigma.tolist()
-        row.on_boundary = detail.on_boundary
-        if config.do_bayes:
-            kwargs = {"adaptive": config.bayes_adaptive}
-            if config.bayes_nodes:
-                kwargs["nodes_per_dim"] = config.bayes_nodes
-            row.sigma_tilde = bayes(engine, **kwargs).tolist()
-        info = observed_info(engine, sigma_star)
-        row.gamma_n = info.gamma_n.tolist()
-        row.score_n = info.score_n.tolist()
-        row.positive_definite = info.positive_definite
-        if config.do_hy:
-            row.hy = hayashi_yoshida(sample, engine.overlap)
-        row.plugin = plugin_covariation(model, detail.sigma, grid, sample)
+        doc = run_estimation(
+            QuasiLikEngine(model, observe(path, grid)),
+            do_bayes=config.do_bayes, do_hy=config.do_hy,
+            info_sigma=sigma_star,
+            bayes_opts={"adaptive": config.bayes_adaptive,
+                        "nodes_per_dim": config.bayes_nodes or None}).to_dict()
+        del doc["diagnostics"]
+        row = ReplicateRow(n=n, rep=rep, hy=doc.pop("hy_covariation"),
+                           plugin=doc.pop("plugin_covariation"), **doc)
     except Exception as exc:  # per-row failure policy: record, not fatal
-        row.error = f"{type(exc).__name__}: {exc}"
+        row = ReplicateRow(n=n, rep=rep, error=f"{type(exc).__name__}: {exc}")
     row.wall_ms = 1000.0 * (time.perf_counter() - t0)
     return row
 

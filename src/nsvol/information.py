@@ -55,13 +55,7 @@ class TraceDensities:
         self.bins = bins
         self.bin_edges = np.linspace(0.0, horizon, bins + 1)
         self.bin_width = horizon / bins
-        self._grids = [(overlap_matrix(g), g.bn) for g in grids]
-        # prefix counts of active intervals at each bin edge, per grid/side
-        self._edge_counts = []
-        for ov, _bn in self._grids:
-            e1 = np.searchsorted(ov.s_left, self.bin_edges, side="left")
-            e2 = np.searchsorted(ov.t_left, self.bin_edges, side="left")
-            self._edge_counts.append((e1, e2))
+        self._overlaps = [overlap_matrix(g) for g in grids]
         self._by_z = {}
         for z in set(float(z) for z in z_values) | {0.0}:
             self._bin_densities(z)
@@ -80,12 +74,13 @@ class TraceDensities:
             raise SchemeError(f"|z| must be < 1, got {z}")
         acc1 = np.zeros(self.bins)
         acc2 = np.zeros(self.bins)
-        for (ov, bn), (e1, e2) in zip(self._grids, self._edge_counts):
-            for side, edges, acc in ((1, e1, acc1), (2, e2, acc2)):
+        for ov in self._overlaps:
+            for side, acc in ((1, acc1), (2, acc2)):
                 diag = resolvent_diag(ov, z, side)
                 cum = np.concatenate([[0.0], np.cumsum(diag)])
-                acc += np.diff(cum[edges]) / bn
-        n = len(self._grids)
+                edges = ov.grid.active_intervals(self.bin_edges, side)
+                acc += np.diff(cum[edges]) / ov.grid.bn
+        n = len(self._overlaps)
         dens = (acc1 / (n * self.bin_width), acc2 / (n * self.bin_width))
         self._by_z[key] = dens
         return dens

@@ -135,9 +135,10 @@ class ObservationGrid:
         return int(np.searchsorted(self.s_times[1:], t, side="right"))
 
     def active_intervals(self, t, side):
-        """Number of sampling intervals meeting [0, t), for one side."""
+        """Number of sampling intervals meeting [0, t), for one side; an
+        array of times gives an array of counts."""
         left = self.s_times[:-1] if side == 1 else self.t_times[:-1]
-        return int(np.searchsorted(left, t, side="left"))
+        return np.searchsorted(left, t, side="left")
 
 
 def _poisson_times(rng, intensity, horizon):
@@ -239,9 +240,7 @@ class OverlapMatrix:
         self.csr.sum_duplicates()
         self.rows = n1
         self.cols = n2
-        self.s_left = s[:-1]
-        self.t_left = t[:-1]
-        self.horizon = grid.horizon
+        self.grid = grid
         indptr = self.csr.indptr
         self.row_first = self.csr.indices[indptr[:-1]]
         self.row_last = self.csr.indices[indptr[1:] - 1]
@@ -275,10 +274,6 @@ class OverlapMatrix:
         if side == 2:
             return (self.csr.T @ self.csr).tocsr()
         raise ValueError("side must be 1 or 2")
-
-    def _active_count(self, t, side):
-        left = self.s_left if side == 1 else self.t_left
-        return int(np.searchsorted(left, t, side="left"))
 
 
 def overlap_matrix(grid: ObservationGrid) -> OverlapMatrix:
@@ -336,8 +331,8 @@ def resolvent_trace(overlap: OverlapMatrix, z, t=None, side=1):
     if abs(z) >= 1.0:
         raise SchemeError(f"|z| must be < 1, got {z}")
     if t is None:
-        t = overlap.horizon
-    m = overlap._active_count(t, side)
+        t = overlap.grid.horizon
+    m = overlap.grid.active_intervals(t, side)
     if m == 0:
         return 0.0
     if z == 0.0:
@@ -604,7 +599,10 @@ def _file_times(values, where):
 
 
 def _file_grid(where, s, t, horizon, bn):
-    """``ObservationGrid`` whose errors name the file(s) it came from."""
+    """``ObservationGrid`` whose errors name the file(s) it came from;
+    ``bn`` defaults to the total interval count."""
+    if bn is None:
+        bn = (len(s) - 1) + (len(t) - 1)
     try:
         return ObservationGrid(s, t, horizon, bn)
     except (TypeError, ValueError) as exc:
@@ -632,52 +630,98 @@ def load_grid_json(path, bn=None):
     s = _file_times(doc["s_times"], f"{path}, field 's_times'")
     t = _file_times(doc["t_times"], f"{path}, field 't_times'")
     horizon = doc.get("horizon", max(s[-1], t[-1]))
-    if bn is None:
-        bn = doc.get("bn")
-    if bn is None:
-        bn = (len(s) - 1) + (len(t) - 1)
-    return _file_grid(path, s, t, horizon, bn)
+    return _file_grid(path, s, t, horizon, doc.get("bn") if bn is None else bn)
 
 
-def _read_times_csv(path):
-    """Times of one side from ``index,time`` rows.
+def _columns(table, types):
+    """Arrays of ``table``'s fields converted by ``types`` (Python's own
+    ``int`` and ``float``), or ``None`` if a row has the wrong field count
+    or a field that does not convert."""
+    try:
+        cols = list(zip(*table, strict=True)) or [()] * len(types)
+        return [np.array(list(map(conv, col)) or np.empty(0, conv))
+                for conv, col in zip(types, cols, strict=True)]
+    except ValueError:
+        return None
 
-    The indices must run over ``0 .. n-1`` once each, in any row order;
-    the first row that breaks this raises ``SchemeError``.
+
+def _repeats(key):
+    """Rows whose key an earlier row already has."""
+    repeats = np.ones(key.size, bool)
+    repeats[np.unique(key, return_index=True)[1]] = False
+    return repeats
+
+
+def _read_csv(path, grid=None):
+    """Times of a grid CSV file, or side-1 and side-2 values of a sample
+    CSV file read against its ``grid``.
+
+    The file is parsed into column arrays (an index beyond int64 makes an
+    exactly comparing object column) and every check runs on whole
+    columns.  The lowest-numbered bad row raises ``SchemeError`` naming it
+    and the first check it fails, in the order of ``checks`` (a malformed
+    row fails before any); then every index must occur.
     """
-    times, rows = {}, {}
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.lower().startswith("index"):
-                continue
-            where = f"{path}, row {lineno} ({line!r})"
-            try:
-                idx, time = line.split(",")
-                idx, time = int(idx), float(time)
-            except ValueError as exc:
-                raise SchemeError(f"{where}: malformed row, expected "
-                                  f"index,time") from exc
-            if idx < 0:
-                raise SchemeError(f"{where}: negative index {idx}")
-            if idx in times:
-                raise SchemeError(f"{where}: duplicate index {idx}")
-            times[idx], rows[idx] = time, where
-    n = len(times)
-    extra = min((k for k in times if k >= n), default=None)
-    if extra is not None:
-        missing = min(set(range(n)) - set(times))
-        raise SchemeError(f"{rows[extra]}: index {extra} leaves a gap; "
-                          f"index {missing} is missing")
-    return _file_times([times[k] for k in range(n)], path)
+        header, lines = fh.readline(), fh.read().split("\n")
+    if grid is not None and not header.lower().startswith("side"):
+        raise SchemeError(f"unexpected sample header in {path}: {header!r}")
+    # only the first line may be a header, and a sample file must have one
+    skip = grid is not None or header.strip().lower().startswith("index")
+    text = list(map(str.strip, lines if skip else [header, *lines]))
+    table = [line.split(",") for line in text if line]
+
+    def where(r):  # the r-th row that is not blank
+        i = [i for i, line in enumerate(text) if line][r]
+        return f"{path}, row {i + 1 + skip} ({text[i]!r})"
+
+    types = (int, float) if grid is None else (str, int, float, float)
+    bad, cols = len(table), _columns(table, types)
+    if cols is None:  # check only the rows before the first malformed one
+        bad = next(r for r, row in enumerate(table)
+                   if _columns([row], types) is None)
+        cols = _columns(table[:bad], types)
+    if grid is None:  # a grid row's index is its key, its time the value
+        key, value = cols
+        checks = [(key < 0, lambda r: f"negative index {key[r]}"),
+                  (_repeats(key), lambda r: f"duplicate index {key[r]}")]
+    else:
+        side, idx, time, value = cols
+        n1, n2 = grid.s_times.size, grid.t_times.size
+        sided = (side == "1") | (side == "2")
+        keyed = sided & (idx >= 0) & (idx < np.where(side == "1", n1, n2))
+        key = np.where(keyed, idx + n1 * (side == "2"), -1).astype(np.intp)
+        grid_time = np.concatenate([grid.s_times, grid.t_times])[key]
+        off = keyed & ~(np.abs(time - grid_time) <= 1e-12 * grid.horizon)
+        checks = [(~np.isfinite(value), lambda r: "non-finite value"),
+                  (~sided, lambda r: f"bad side {table[r][0]!r}"),
+                  (sided & ~keyed, lambda r: "index out of range"),
+                  (_repeats(key),
+                   lambda r: f"repeats side {side[r]} index {idx[r]}"),
+                  (off, lambda r: "time differs from grid time "
+                                  f"{float(grid_time[r])!r}")]
+    failed = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
+    if failed.size:  # the lowest bad row, and the first check it fails
+        message = next(msg for mask, msg in checks if mask[failed[0]])
+        raise SchemeError(f"{where(failed[0])}: {message(failed[0])}")
+    if bad < len(table):
+        raise SchemeError(f"{where(bad)}: malformed row" + (
+            ", expected index,time" if grid is None else ""))
+    if grid is None and np.any(key >= bad):
+        extra = key[key >= bad].min()
+        missing = np.setdiff1d(np.arange(bad), key)[0]
+        raise SchemeError(f"{where(np.argmax(key == extra))}: index {extra} "
+                          f"leaves a gap; index {missing} is missing")
+    if grid is not None and bad != n1 + n2:
+        raise SchemeError("sample file does not cover every observation time")
+    out = np.empty(bad)
+    out[key] = value
+    return out if grid is None else (out[:n1], out[n1:])
 
 
 def load_grid_csv(s_path, t_path, horizon=None, bn=None):
     """Load a grid from two per-side CSV files with ``index,time`` rows."""
-    s = _read_times_csv(s_path)
-    t = _read_times_csv(t_path)
+    s, t = (_file_times(_read_csv(path), path) for path in (s_path, t_path))
     if horizon is None:
         horizon = max(s[-1], t[-1])
-    if bn is None:
-        bn = (len(s) - 1) + (len(t) - 1)
     return _file_grid(f"{s_path}, {t_path}", s, t, horizon, bn)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterOutOfDomainError, SchemeError, SimulationError
-from .scheme import ObservationGrid
+from .scheme import ObservationGrid, _read_csv
 
 __all__ = [
     "DiffusionModel",
@@ -246,40 +246,7 @@ def read_sample_csv(path, grid: ObservationGrid) -> NonsyncSample:
     """Read a ``side,index,time,value`` file against a known grid.
 
     Every row must name an in-range observation of its side once, at that
-    observation's grid time (to within ``1e-12 * horizon``); the first row
-    that does not raises ``SchemeError``.
+    observation's grid time (to within ``1e-12 * horizon``), with a finite
+    value; the lowest-numbered row that does not raises ``SchemeError``.
     """
-    times = {"1": grid.s_times, "2": grid.t_times}
-    values = {side: np.full(arr.size, np.nan) for side, arr in times.items()}
-    tol = 1e-12 * grid.horizon
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.lower().startswith("side"):
-            raise SchemeError(f"unexpected sample header in {path}: {header!r}")
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}, row {lineno} ({line!r})"
-            try:
-                side, idx, time, value = line.split(",")
-                idx, time, value = int(idx), float(time), float(value)
-            except ValueError as exc:
-                raise SchemeError(f"{where}: malformed row") from exc
-            if not np.isfinite(value):
-                raise SchemeError(f"{where}: non-finite value")
-            if side not in times:
-                raise SchemeError(f"{where}: bad side {side!r}")
-            if not 0 <= idx < times[side].size:
-                raise SchemeError(f"{where}: index out of range")
-            if not np.isnan(values[side][idx]):
-                raise SchemeError(f"{where}: repeats side {side} index {idx}")
-            if abs(time - times[side][idx]) > tol:
-                raise SchemeError(
-                    f"{where}: time differs from grid time "
-                    f"{float(times[side][idx])!r}")
-            values[side][idx] = value
-    y1, y2 = values["1"], values["2"]
-    if np.any(np.isnan(y1)) or np.any(np.isnan(y2)):
-        raise SchemeError("sample file does not cover every observation time")
-    return NonsyncSample(grid, y1, y2)
+    return NonsyncSample(grid, *_read_csv(path, grid))

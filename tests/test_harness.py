@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-import nsvol.harness as harness
+import nsvol.estimate as estimate
 from nsvol.errors import EstimationError
 from nsvol.harness import (CSV_HEADER, ExperimentConfig, MonteCarloReport,
                            ReplicateRow, assert_thresholds, emit_report,
@@ -73,7 +73,7 @@ class TestRunMc:
 
     def test_failure_threshold(self, monkeypatch):
         calls = {"k": 0}
-        real = harness.qmle_detail
+        real = estimate.qmle_detail
 
         def flaky(engine, **kw):
             calls["k"] += 1
@@ -81,14 +81,14 @@ class TestRunMc:
                 raise RuntimeError("synthetic failure")
             return real(engine, **kw)
 
-        monkeypatch.setattr(harness, "qmle_detail", flaky)
+        monkeypatch.setattr(estimate, "qmle_detail", flaky)
         cfg = ExperimentConfig(model="bm1", sigma_star=[1.0], bn_ladder=[30],
                                replicates=6, seed=2)
         with pytest.raises(EstimationError):
             run_mc(cfg)
 
     def test_failed_rows_recorded_below_threshold(self, monkeypatch):
-        real = harness.qmle_detail
+        real = estimate.qmle_detail
         calls = {"k": 0}
 
         def flaky(engine, **kw):
@@ -97,7 +97,7 @@ class TestRunMc:
                 raise RuntimeError("one bad replicate")
             return real(engine, **kw)
 
-        monkeypatch.setattr(harness, "qmle_detail", flaky)
+        monkeypatch.setattr(estimate, "qmle_detail", flaky)
         cfg = ExperimentConfig(model="bm1", sigma_star=[1.0], bn_ladder=[30],
                                replicates=25, seed=3)
         rep = run_mc(cfg)

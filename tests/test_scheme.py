@@ -368,6 +368,12 @@ class TestGridFiles:
                            match=r"s\.csv, row 3 \('1;0\.5'\): malformed"):
             load_grid_csv(*paths)
 
+    def test_csv_header_only_on_first_line(self, tmp_path):
+        paths = self._csv_pair(tmp_path, "0,0.0\nINDEX,0.3\n1,0.5\n2,1.0\n")
+        with pytest.raises(SchemeError,
+                           match=r"s\.csv, row 3 \('INDEX,0\.3'\): malformed"):
+            load_grid_csv(*paths)
+
     def test_csv_fewer_than_two_times(self, tmp_path):
         paths = self._csv_pair(tmp_path, "0,0.0\n")
         with pytest.raises(SchemeError, match=r"s\.csv: .*at least two"):

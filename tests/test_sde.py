@@ -228,6 +228,7 @@ class TestSampleCsv:
         ("1,1,0.5", "malformed"),
         ("2,1,0.5,inf", "non-finite value"),
         ("2,1,0.5,nan", "non-finite value"),
+        ("2,1,nan,0.3", "time differs"),
     ])
     def test_rejects_bad_row(self, tmp_path, bad_row, message):
         # the complete, correct file for a 2 + 2 interval grid
