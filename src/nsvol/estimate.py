@@ -374,8 +374,8 @@ def plugin_covariation(model: DiffusionModel, sigma_hat, grid, sample=None):
         return float(grid.horizon * (b1[0] @ b2[0]))
     if sample is None:
         raise ValueError("state-dependent models need the observed sample")
-    left = grid.merged[:-1]
-    dt = np.diff(grid.merged)
+    merged = grid.merged
+    left, dt = merged[:-1], np.diff(merged)
     idx1 = np.searchsorted(grid.s_times, left, side="right") - 1
     idx2 = np.searchsorted(grid.t_times, left, side="right") - 1
     x = np.column_stack([sample.y1_obs[idx1], sample.y2_obs[idx2]])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,7 +62,7 @@ def _as_times(values, name):
 
 @dataclass(frozen=True, eq=False)
 class ObservationGrid:
-    """Observation times of both components plus merged-grid bookkeeping.
+    """Observation times of both components.
 
     Attributes
     ----------
@@ -75,19 +75,15 @@ class ObservationGrid:
         Scale of the scheme (number of observations per unit of the
         asymptotic index).  Generators record their intensity scale here;
         grids loaded from files default to the total interval count.
-    merged : ndarray
-        Sorted, deduplicated union of the two time grids.
-    k1, k2 : ndarray
-        Positions of ``s_times`` / ``t_times`` inside ``merged``.
+
+    The merged-grid bookkeeping (``merged``, ``k1``, ``k2``) is computed
+    when read and not stored, so a grid holds only its own times.
     """
 
     s_times: np.ndarray
     t_times: np.ndarray
     horizon: float
     bn: float
-    merged: np.ndarray = field(init=False, repr=False)
-    k1: np.ndarray = field(init=False, repr=False)
-    k2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         s = _as_times(self.s_times, "s_times")
@@ -100,14 +96,25 @@ class ObservationGrid:
                 raise SchemeError(f"{name} must start at 0 and end at horizon={T}")
         if not self.bn > 0:
             raise SchemeError("bn must be positive")
-        merged = np.union1d(s, t)
         object.__setattr__(self, "s_times", s)
         object.__setattr__(self, "t_times", t)
         object.__setattr__(self, "horizon", T)
         object.__setattr__(self, "bn", float(self.bn))
-        object.__setattr__(self, "merged", merged)
-        object.__setattr__(self, "k1", np.searchsorted(merged, s))
-        object.__setattr__(self, "k2", np.searchsorted(merged, t))
+
+    @property
+    def merged(self):
+        """Sorted, deduplicated union of the two time grids."""
+        return np.union1d(self.s_times, self.t_times)
+
+    @property
+    def k1(self):
+        """Positions of ``s_times`` inside ``merged``."""
+        return np.searchsorted(self.merged, self.s_times)
+
+    @property
+    def k2(self):
+        """Positions of ``t_times`` inside ``merged``."""
+        return np.searchsorted(self.merged, self.t_times)
 
     @property
     def n_intervals1(self):
@@ -365,16 +372,15 @@ def diag_power_traces(overlap: OverlapMatrix, p, side=1):
 
 
 def _expand_once(lo, hi, s, t):
-    """Union of all sampling intervals (both grids) meeting [lo, hi)."""
-    new_lo = lo
-    new_hi = hi
+    """Union of all sampling intervals (both grids) meeting each
+    ``[lo[k], hi[k])``; ``lo`` and ``hi`` are arrays."""
+    new_lo, new_hi = lo, hi
     for arr in (s, t):
-        i_left = np.searchsorted(arr, lo, side="right") - 1
-        i_right = np.searchsorted(arr, hi, side="left") - 1
-        i_left = min(max(i_left, 0), len(arr) - 2)
-        i_right = min(max(i_right, 0), len(arr) - 2)
-        new_lo = min(new_lo, arr[i_left])
-        new_hi = max(new_hi, arr[i_right + 1])
+        last = len(arr) - 2
+        i_left = np.clip(np.searchsorted(arr, lo, side="right") - 1, 0, last)
+        i_right = np.clip(np.searchsorted(arr, hi, side="left") - 1, 0, last)
+        new_lo = np.minimum(new_lo, arr[i_left])
+        new_hi = np.maximum(new_hi, arr[i_right + 1])
     return new_lo, new_hi
 
 
@@ -393,40 +399,34 @@ def theta_interval(grid: ObservationGrid, p, l):
         raise SchemeError(f"interval index {l} out of range [0, {n1 + n2})")
     if p < 0:
         raise ValueError("p must be >= 0")
-    if l < n1:
-        lo, hi = grid.s_times[l], grid.s_times[l + 1]
-    else:
-        j = l - n1
-        lo, hi = grid.t_times[j], grid.t_times[j + 1]
+    times, i = (grid.s_times, l) if l < n1 else (grid.t_times, l - n1)
+    lo, hi = times[i:i + 1], times[i + 1:i + 2]
     for _ in range(2 * p):
-        new = _expand_once(lo, hi, grid.s_times, grid.t_times)
-        if new == (lo, hi):
+        new_lo, new_hi = _expand_once(lo, hi, grid.s_times, grid.t_times)
+        if new_lo[0] == lo[0] and new_hi[0] == hi[0]:
             break
-        lo, hi = new
-    return lo, hi
+        lo, hi = new_lo, new_hi
+    return lo[0], hi[0]
 
 
 def theta_length_sums(grid: ObservationGrid, p_max):
     """Total closure length per transfer depth, for scheme diagnostics.
 
     Returns ``sums[p] = sum_l |theta(p, l)|`` for ``p = 0, ..., p_max``.
-    Threshold choice against these raw sums is left to the caller.
+    All intervals are expanded at once, and each sum is accumulated in
+    interval order.  Threshold choice against these raw sums is left to the
+    caller.
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
-    n = grid.n_intervals1 + grid.n_intervals2
-    sums = np.zeros(p_max + 1)
-    for l in range(n):
-        if l < grid.n_intervals1:
-            lo, hi = grid.s_times[l], grid.s_times[l + 1]
-        else:
-            j = l - grid.n_intervals1
-            lo, hi = grid.t_times[j], grid.t_times[j + 1]
-        sums[0] += hi - lo
-        for p in range(1, p_max + 1):
-            lo, hi = _expand_once(*_expand_once(lo, hi, grid.s_times, grid.t_times),
-                                  grid.s_times, grid.t_times)
-            sums[p] += hi - lo
+    s, t = grid.s_times, grid.t_times
+    lo = np.concatenate([s[:-1], t[:-1]])
+    hi = np.concatenate([s[1:], t[1:]])
+    sums = np.empty(p_max + 1)
+    sums[0] = np.cumsum(hi - lo)[-1]
+    for p in range(1, p_max + 1):
+        lo, hi = _expand_once(*_expand_once(lo, hi, s, t), s, t)
+        sums[p] = np.cumsum(hi - lo)[-1]
     return sums
 
 
@@ -629,7 +629,12 @@ def load_grid_json(path, bn=None):
             raise SchemeError(f"{path}: missing field {name!r}")
     s = _file_times(doc["s_times"], f"{path}, field 's_times'")
     t = _file_times(doc["t_times"], f"{path}, field 't_times'")
-    horizon = doc.get("horizon", max(s[-1], t[-1]))
+    horizon = doc.get("horizon")
+    try:
+        horizon = float(max(s[-1], t[-1]) if horizon is None else horizon)
+    except (TypeError, ValueError) as exc:
+        raise SchemeError(f"{path}, field 'horizon': must be a number, "
+                          f"got {horizon!r}") from exc
     return _file_grid(path, s, t, horizon, doc.get("bn") if bn is None else bn)
 
 

@@ -188,27 +188,19 @@ def simulate_path(model: DiffusionModel, sigma, grid: ObservationGrid,
             raise SimulationError("non-finite coefficients", t=0.0, x=y0)
         incs = dt[:, None] * mu + dw @ b.T
         path = np.vstack([y0, y0 + np.cumsum(incs, axis=0)])
-        return path[np.concatenate([[0], ends])]
-
-    times = np.concatenate([[0.0], np.cumsum(dt)]) + grid.merged[0]
-    y = y0.copy()
-    out = np.empty((len(grid.merged), 2))
-    out[0] = y
-    next_out = 1
-    ends_set = ends
-    eidx = 0
-    for k in range(dt.size):
-        t = times[k]
-        mu = np.asarray(model.drift(t, y[None, :], sigma), dtype=float).reshape(-1, 2)[0]
-        b = np.asarray(model.diffusion(t, y[None, :], sigma), dtype=float).reshape(2, 2)
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(b))):
-            raise SimulationError("non-finite coefficients", t=t, x=y.copy())
-        y = y + mu * dt[k] + b @ dw[k]
-        if eidx < ends_set.size and k + 1 == ends_set[eidx]:
-            out[next_out] = y
-            next_out += 1
-            eidx += 1
-    return out
+    else:
+        times = np.concatenate([[0.0], np.cumsum(dt)])
+        path = np.empty((dt.size + 1, 2))
+        path[0] = y = y0.copy()
+        for k in range(dt.size):
+            t = times[k]
+            mu = np.asarray(model.drift(t, y[None, :], sigma), dtype=float).reshape(-1, 2)[0]
+            b = np.asarray(model.diffusion(t, y[None, :], sigma), dtype=float).reshape(2, 2)
+            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(b))):
+                raise SimulationError("non-finite coefficients", t=t, x=y.copy())
+            y = y + mu * dt[k] + b @ dw[k]
+            path[k + 1] = y
+    return path[np.concatenate([[0], ends])]
 
 
 def observe(path, grid: ObservationGrid) -> NonsyncSample:
@@ -217,10 +209,10 @@ def observe(path, grid: ObservationGrid) -> NonsyncSample:
     ``path`` must hold one 2-vector per merged grid point.
     """
     path = np.asarray(path, dtype=float)
-    if path.shape != (len(grid.merged), 2):
-        raise SchemeError(
-            f"path shape {path.shape} does not cover the merged grid "
-            f"({len(grid.merged)} points)")
+    points = len(grid.merged)
+    if path.shape != (points, 2):
+        raise SchemeError(f"path shape {path.shape} does not cover the "
+                          f"merged grid ({points} points)")
     y1 = path[grid.k1, 0]
     y2 = path[grid.k2, 1]
     return NonsyncSample(grid, y1, y2)

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nsvol.cli import main
 from nsvol.errors import SchemeError
 from nsvol.scheme import (ObservationGrid, check_a2, diag_power_traces,
                           load_grid_csv, load_grid_json, operator_norm,
@@ -38,6 +40,16 @@ class TestObservationGrid:
         assert np.array_equal(g.merged, [0, 0.5, 1, 1.5, 2])
         assert np.array_equal(g.s_times[g.k1 >= 0], g.merged[g.k1])
         assert np.array_equal(g.t_times, g.merged[g.k2])
+
+    def test_grid_holds_only_its_times(self):
+        g = poisson_grid(1.0, 2.0, 1.0, bn=300, seed=5)
+        stored = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+        assert (sum(a.nbytes for a in stored)
+                == g.s_times.nbytes + g.t_times.nbytes)
+        merged = np.union1d(g.s_times, g.t_times)
+        assert np.array_equal(g.merged, merged)
+        assert np.array_equal(g.k1, np.searchsorted(merged, g.s_times))
+        assert np.array_equal(g.k2, np.searchsorted(merged, g.t_times))
 
     def test_counting(self):
         g = uniform_grid(4, 4, 0.0, 1.0)
@@ -262,6 +274,133 @@ class TestThetaIntervals:
         assert sums[0] == pytest.approx(2.0)  # both partitions tile [0, T)
 
 
+# --- oracle: the per-interval closure loop, verbatim apart from names -----
+
+def old_expand_once(lo, hi, s, t):
+    """Union of all sampling intervals (both grids) meeting [lo, hi)."""
+    new_lo = lo
+    new_hi = hi
+    for arr in (s, t):
+        i_left = np.searchsorted(arr, lo, side="right") - 1
+        i_right = np.searchsorted(arr, hi, side="left") - 1
+        i_left = min(max(i_left, 0), len(arr) - 2)
+        i_right = min(max(i_right, 0), len(arr) - 2)
+        new_lo = min(new_lo, arr[i_left])
+        new_hi = max(new_hi, arr[i_right + 1])
+    return new_lo, new_hi
+
+
+def old_theta_interval(grid: ObservationGrid, p, l):
+    """Closure of one sampling interval under ``2p`` overlap transfers.
+
+    Index ``l`` runs over the combined interval list, side-1 intervals
+    first (``0 <= l < n_intervals1``) then side-2.  A transfer moves from
+    an interval to any interval of either grid with nonempty (half-open)
+    intersection; the union over all chains of ``2p`` transfers is again a
+    half-open interval, returned as ``(lo, hi)``.
+    """
+    n1 = grid.n_intervals1
+    n2 = grid.n_intervals2
+    if not 0 <= l < n1 + n2:
+        raise SchemeError(f"interval index {l} out of range [0, {n1 + n2})")
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    if l < n1:
+        lo, hi = grid.s_times[l], grid.s_times[l + 1]
+    else:
+        j = l - n1
+        lo, hi = grid.t_times[j], grid.t_times[j + 1]
+    for _ in range(2 * p):
+        new = old_expand_once(lo, hi, grid.s_times, grid.t_times)
+        if new == (lo, hi):
+            break
+        lo, hi = new
+    return lo, hi
+
+
+def old_theta_length_sums(grid: ObservationGrid, p_max):
+    """Total closure length per transfer depth, for scheme diagnostics.
+
+    Returns ``sums[p] = sum_l |theta(p, l)|`` for ``p = 0, ..., p_max``.
+    Threshold choice against these raw sums is left to the caller.
+    """
+    if p_max < 0:
+        raise ValueError("p_max must be >= 0")
+    n = grid.n_intervals1 + grid.n_intervals2
+    sums = np.zeros(p_max + 1)
+    for l in range(n):
+        if l < grid.n_intervals1:
+            lo, hi = grid.s_times[l], grid.s_times[l + 1]
+        else:
+            j = l - grid.n_intervals1
+            lo, hi = grid.t_times[j], grid.t_times[j + 1]
+        sums[0] += hi - lo
+        for p in range(1, p_max + 1):
+            lo, hi = old_expand_once(*old_expand_once(lo, hi, grid.s_times, grid.t_times),
+                                     grid.s_times, grid.t_times)
+            sums[p] += hi - lo
+    return sums
+
+
+@st.composite
+def adversarial_grids(draw):
+    """Synchronous, uniform or drawn grids; drawn sides put their interior
+    times on a shared lattice (so the sides have coincident times) or
+    anywhere, and either side may have no interior time at all."""
+    horizon = draw(st.sampled_from([1.0, 2.5, 1e-3, 7.0]))
+    kind = draw(st.sampled_from(["synchronous", "uniform", "drawn"]))
+    if kind == "uniform":
+        return uniform_grid(draw(st.integers(1, 9)), draw(st.integers(1, 9)),
+                            draw(st.sampled_from([0.0, 0.25, 0.5, 0.9])),
+                            horizon)
+    denom = draw(st.integers(2, 16))
+
+    def side():
+        if draw(st.booleans()):
+            ks = draw(st.sets(st.integers(1, denom - 1), max_size=denom))
+            inner = [horizon * k / denom for k in ks]
+        else:
+            inner = draw(st.lists(st.floats(0.0, horizon, exclude_min=True,
+                                            exclude_max=True),
+                                  max_size=10))
+        return np.unique(np.concatenate([[0.0], inner, [horizon]]))
+
+    s = side()
+    t = s.copy() if kind == "synchronous" else side()
+    return ObservationGrid(s, t, horizon, bn=len(s) + len(t) - 2)
+
+
+class TestClosureKernel:
+    """The array closure kernel against the per-interval loop it replaced."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(grid=adversarial_grids(), p_max=st.integers(0, 4))
+    def test_matches_per_interval_loop(self, grid, p_max):
+        assert np.array_equal(theta_length_sums(grid, p_max),
+                              old_theta_length_sums(grid, p_max))
+        for l in range(grid.n_intervals1 + grid.n_intervals2):
+            for p in range(p_max + 1):
+                assert (theta_interval(grid, p, l)
+                        == old_theta_interval(grid, p, l))
+
+    def test_check_output_byte_identical(self, tmp_path, capsys):
+        g = poisson_grid(1.0, 2.0, 1.0, bn=600, seed=11)
+        path = tmp_path / "g.json"
+        save_grid_json(g, path)
+        assert main(["check", "--grid", str(path)]) == 0
+        out = capsys.readouterr().out
+        overlap = overlap_matrix(g)
+        doc = check_a2(g).to_dict()
+        doc.update({
+            "n_intervals1": g.n_intervals1,
+            "n_intervals2": g.n_intervals2,
+            "bandwidth": overlap.bandwidth,
+            "col_bandwidth": overlap.col_bandwidth,
+            "theta_length_sums": old_theta_length_sums(g, 2).tolist(),
+        })
+        assert out == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
 class TestSpacingCheck:
     def test_delta_validation(self):
         with pytest.raises(SchemeError):
@@ -327,6 +466,22 @@ class TestGridFiles:
                        "horizon": 1.0}, fh)
         g = load_grid_json(path)
         assert g.bn == 3  # interval-count fallback
+
+    def test_json_null_horizon_falls_back(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"s_times": [0, 0.5, 2], "t_times": [0, 2],
+                                    "horizon": None, "bn": None}))
+        g = load_grid_json(path)
+        assert g.horizon == 2.0 and g.bn == 3
+
+    @pytest.mark.parametrize("horizon", ["soon", [1.0], {"T": 1.0}])
+    def test_json_non_numeric_horizon(self, tmp_path, horizon):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"s_times": [0, 0.5, 1], "t_times": [0, 1],
+                                    "horizon": horizon}))
+        with pytest.raises(SchemeError, match=r"grid\.json, field 'horizon':"
+                           r" must be a number"):
+            load_grid_json(path)
 
     def test_csv_roundtrip(self, tmp_path):
         g = uniform_grid(5, 4, 0.25, 1.0)
