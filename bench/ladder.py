@@ -1,4 +1,5 @@
-"""Scaling ladder of the scheme kernels, written to ``BENCH_<commit>.json``.
+"""Scaling ladder of the scheme and likelihood kernels, written to
+``BENCH_<commit>.json``.
 
 Run from the repository root:
 
@@ -7,14 +8,17 @@ Run from the repository root:
 BLAS and OpenMP pools are pinned to one thread before ``numpy`` is first
 imported, and the package is imported from ``src/``.  At each rung n of the
 ladder one Poisson grid is drawn (rates 1:1, horizon 1, ``bn = n``, seed 0)
-and three layers are timed, each as the median of three runs:
-``theta_length_sums(p_max=2)``, ``check_a2`` and ``resolvent_diag`` (z = 0.5,
-side 1).  A layer's log-log slope is the least-squares slope of log(median
-seconds) against log(n) over the ladder.  The grid's interval counts and
-the half-bandwidth of the band ``resolvent_diag`` factors
-(``col_bandwidth``) are recorded beside the times.  The file is written next
-to this script, named after the commit checked out (``dirty`` records whether
-``src/`` differs from it).
+and five layers are timed, each as the median of three runs:
+``theta_length_sums(p_max=2)``, ``check_a2``, ``resolvent_diag`` (z = 0.5,
+side 1), and ``QuasiLikEngine.loglik`` and ``gradient(method="analytic")`` of
+``corr`` at sigma* = (1, 0.5) on a sample simulated on the rung's grid
+(seed 1).  A layer's log-log slope is the least-squares slope of log(median
+seconds) against log(n) over the ladder.  The grid's interval counts, the
+half-bandwidth of the band ``resolvent_diag`` factors (``col_bandwidth``)
+and the half-bandwidth of the engine's Schur band (``schur_half_bandwidth``)
+are recorded beside the times.  The file is written next to this script,
+named after the commit checked out (``dirty`` records whether ``src/``
+differs from it).
 """
 
 import os
@@ -39,10 +43,13 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from nsvol import scheme  # noqa: E402
+from nsvol import models, scheme  # noqa: E402
+from nsvol.likelihood import QuasiLikEngine  # noqa: E402
+from nsvol.sde import observe, simulate_path  # noqa: E402
 
 LADDER = (1_000, 4_000, 16_000, 100_000)
 REPEATS = 3
+SIGMA = (1.0, 0.5)
 
 
 def _git(*args):
@@ -60,19 +67,30 @@ def _median_seconds(fn):
 
 
 def main():
-    layers = {"theta_length_sums": [], "check_a2": [], "resolvent_diag": []}
-    counts = {"n_intervals1": [], "n_intervals2": [], "col_bandwidth": []}
+    layers = {"theta_length_sums": [], "check_a2": [], "resolvent_diag": [],
+              "loglik": [], "gradient": []}
+    counts = {"n_intervals1": [], "n_intervals2": [], "col_bandwidth": [],
+              "schur_half_bandwidth": []}
+    model = models.get_model("corr")
+    sigma = np.array(SIGMA)
     for n in LADDER:
         grid = scheme.poisson_grid(1.0, 1.0, 1.0, bn=n, seed=0)
         overlap = scheme.overlap_matrix(grid)
+        engine = QuasiLikEngine(model, observe(
+            simulate_path(model, sigma, grid, seed=1), grid))
         runs = {"theta_length_sums": lambda: scheme.theta_length_sums(grid, 2),
                 "check_a2": lambda: scheme.check_a2(grid),
-                "resolvent_diag": lambda: scheme.resolvent_diag(overlap, 0.5, 1)}
+                "resolvent_diag":
+                    lambda: scheme.resolvent_diag(overlap, 0.5, 1),
+                "loglik": lambda: engine.loglik(sigma),
+                "gradient": lambda: engine.gradient(sigma, method="analytic")}
         for name, fn in runs.items():
             layers[name].append(_median_seconds(fn))
         counts["n_intervals1"].append(grid.n_intervals1)
         counts["n_intervals2"].append(grid.n_intervals2)
         counts["col_bandwidth"].append(overlap.col_bandwidth)
+        # the engine keeps the half-bandwidth of the Schur band it factors
+        counts["schur_half_bandwidth"].append(engine._hw)
         print(f"n={n}: " + ", ".join(f"{name} {secs[-1] * 1e3:.2f} ms"
                                     for name, secs in layers.items()),
               file=sys.stderr)
@@ -101,6 +119,9 @@ def main():
     }
     doc["layers"]["theta_length_sums"]["args"] = "p_max=2"
     doc["layers"]["resolvent_diag"]["args"] = "z=0.5, side=1"
+    doc["layers"]["loglik"]["args"] = "model=corr, sigma=(1.0, 0.5), seed=1"
+    doc["layers"]["gradient"]["args"] = (doc["layers"]["loglik"]["args"]
+                                         + ", method=analytic")
     path = os.path.join(HERE, f"BENCH_{commit}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)

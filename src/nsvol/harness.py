@@ -67,8 +67,12 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.scheme not in ("poisson", "uniform"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        for i, n in enumerate(self.bn_ladder):
+            if not n > 0 or n in self.bn_ladder[:i]:
+                raise ValueError(f"bn_ladder entry {n!r} is <= 0 or repeats")
         model = get_model(self.model)
         sigma = np.asarray(self.sigma_star, dtype=float)
+        model.contains(sigma)  # a wrong length raises, naming dim_param
         lo, hi = model.param_box[:, 0], model.param_box[:, 1]
         if not (np.all(sigma > lo) and np.all(sigma < hi)):
             raise ValueError("sigma_star must be interior to the model box")

@@ -136,6 +136,12 @@ class InformationResult:
     meta: dict = field(default_factory=dict)
 
 
+Z_STEP = 1e-4  # central step of the density's correlation slope
+SIGMA_STEP = 1e-6  # parameter step, relative to max(1, |sigma_j|)
+RHO_EPS = 1e-12  # smaller correlations count as zero
+RHO_NODES = 21  # Gauss-Legendre nodes of the profile's correlation integral
+
+
 def _states_at(coeff_path, times, y0):
     if isinstance(coeff_path, str):
         if coeff_path != "constant":
@@ -149,18 +155,32 @@ def _states_at(coeff_path, times, y0):
     return path_values[idx]
 
 
-def _coeff_geometry(model, t, x, sigma):
-    """(|b1|, |b2|, rho) at a single evaluation point."""
-    b1, b2 = model.coeff_rows(np.atleast_1d(t), np.atleast_2d(x), sigma)
-    n1 = float(np.sqrt(b1[0] @ b1[0]))
-    n2 = float(np.sqrt(b2[0] @ b2[0]))
-    rho = float(b1[0] @ b2[0]) / (n1 * n2)
-    return n1, n2, rho
+def _bin_geometry(model, sigma, densities, coeff_path):
+    """(|b1|, |b2|, rho) at the left point of every bin, from one
+    coefficient evaluation."""
+    t_left = densities.bin_edges[:-1]
+    b1, b2 = model.coeff_rows(t_left, _states_at(coeff_path, t_left, model.y0),
+                              np.asarray(sigma, dtype=float))
+    # row-wise dot products, rounded as a 1-d ``u @ v`` is
+    s11, s22, s12 = ((u[:, None, :] @ v[:, :, None])[:, 0, 0]
+                     for u, v in ((b1, b1), (b2, b2), (b1, b2)))
+    n1 = np.sqrt(s11)
+    n2 = np.sqrt(s22)
+    return n1, n2, s12 / (n1 * n2)
+
+
+def _at_rho(bin_densities, rho):
+    """``bin_densities(rho[k, ...])[k]`` for every entry of ``rho``, one
+    lookup per distinct correlation."""
+    out = np.empty(rho.shape)
+    for value in np.unique(rho):
+        hit = np.nonzero(rho == value)
+        out[hit] = bin_densities(float(value))[hit[0]]
+    return out
 
 
 def information_matrix(model: DiffusionModel, sigma_star, densities:
-                       TraceDensities, coeff_path="constant", *,
-                       z_step=1e-4, sigma_step=1e-6, rho_eps=1e-12
+                       TraceDensities, coeff_path="constant"
                        ) -> InformationResult:
     """Information matrix from the trace-density integral.
 
@@ -168,65 +188,47 @@ def information_matrix(model: DiffusionModel, sigma_star, densities:
     state; exact for constant-coefficient models) or a ``(times, values)``
     path supplying the state left-point per bin.  Parameter derivatives of
     the coefficient ratios use central differences with step
-    ``sigma_step * max(1, |sigma_j|)``; the density's correlation slope
-    uses a central step of ``z_step``.  Bins where the instantaneous
-    correlation vanishes drop the correlation terms and are flagged.
+    ``1e-6 * max(1, |sigma_j|)``; the density's correlation slope uses a
+    central step of ``1e-4``.  Bins with an instantaneous correlation below
+    ``1e-12`` in magnitude drop the correlation terms and are flagged.
     """
+    model.require_in_box(sigma_star)
     sigma_star = np.asarray(sigma_star, dtype=float)
-    d = sigma_star.size
-    edges = densities.bin_edges
-    t_left = edges[:-1]
-    width = densities.bin_width
-    states = _states_at(coeff_path, t_left, model.y0)
+    n1, n2, rho = _bin_geometry(model, sigma_star, densities, coeff_path)
+    h = SIGMA_STEP * np.maximum(1.0, np.abs(sigma_star))
+    up, down = (np.array([_bin_geometry(model, sigma_star + e, densities,
+                                        coeff_path) for e in steps])
+                for steps in (np.diag(h), -np.diag(h)))
+    dn1, dn2, drho = ((up - down) / (2 * h[:, None, None])).transpose(1, 2, 0)
+    # ratio of frozen numerator to moving denominator: derivative is
+    # the negated log-derivative of the coefficient norm
+    dB1 = -dn1 / n1[:, None]
+    dB2 = -dn2 / n2[:, None]
 
-    h = sigma_step * np.maximum(1.0, np.abs(sigma_star))
-    geoms = []
-    for k in range(densities.bins):
-        n1, n2, rho = _coeff_geometry(model, t_left[k], states[k], sigma_star)
-        dn1 = np.empty(d)
-        dn2 = np.empty(d)
-        drho = np.empty(d)
-        for j in range(d):
-            up = sigma_star.copy(); up[j] += h[j]
-            dn = sigma_star.copy(); dn[j] -= h[j]
-            n1u, n2u, ru = _coeff_geometry(model, t_left[k], states[k], up)
-            n1d, n2d, rd = _coeff_geometry(model, t_left[k], states[k], dn)
-            dn1[j] = (n1u - n1d) / (2 * h[j])
-            dn2[j] = (n2u - n2d) / (2 * h[j])
-            drho[j] = (ru - rd) / (2 * h[j])
-        # ratio of frozen numerator to moving denominator: derivative is
-        # the negated log-derivative of the coefficient norm
-        dB1 = -dn1 / n1
-        dB2 = -dn2 / n2
-        geoms.append((rho, dB1, dB2, drho))
-
-    sup_rho = max(abs(g[0]) for g in geoms)
-    if sup_rho + z_step >= densities.z_max:
+    sup_rho = float(np.max(np.abs(rho)))
+    if sup_rho + Z_STEP >= densities.z_max:
         raise CoverageError(
             f"sup |rho| = {sup_rho:.6f} exceeds the usable density radius")
 
-    contribs = np.zeros((densities.bins, d, d))
-    rho_zero_bins = []
-    for k, (rho, dB1, dB2, drho) in enumerate(geoms):
-        t_eval = t_left[k] + 0.5 * width  # interior point of bin k
-        a_val = densities.a(rho, t_eval)
-        c_val = densities.c(rho, t_eval)
-        a0 = densities.a(0.0, t_eval)
-        term = (2.0 * a_val * np.outer(dB1, dB1)
-                + 2.0 * c_val * np.outer(dB2, dB2))
-        if abs(rho) < rho_eps:
-            rho_zero_bins.append(k)
-        else:
-            dz_a = (densities.a(rho + z_step, t_eval)
-                    - densities.a(rho - z_step, t_eval)) / (2 * z_step)
-            term = term + dz_a * np.outer(drho, drho) / rho
-            v = drho / rho - dB1 - dB2
-            term = term - (a_val - a0) * np.outer(v, v)
-        contribs[k] = term * width
-    matrix = contribs.sum(axis=0)
-    return InformationResult(matrix=matrix, route="formula",
+    live = np.abs(rho) >= RHO_EPS
+    r = np.where(live, rho, 1.0)
+    a_val = _at_rho(densities.a_bins, rho)
+    c_val = _at_rho(densities.c_bins, rho)
+    # zero z steps and level changes drop the flagged bins' correlation terms
+    step = np.where(live, Z_STEP, 0.0)
+    dz_a = (_at_rho(densities.a_bins, rho + step)
+            - _at_rho(densities.a_bins, rho - step)) / (2 * Z_STEP)
+    level = np.where(live, a_val - densities.a_bins(0.0), 0.0)
+    v = drho / r[:, None] - dB1 - dB2
+    a_val, c_val, dz_a, level, r = (x[:, None, None] for x in
+                                    (a_val, c_val, dz_a, level, r))
+    outer = lambda u: np.einsum("ki,kj->kij", u, u)  # noqa: E731 - per bin
+    term = (2.0 * a_val * outer(dB1) + 2.0 * c_val * outer(dB2)
+            + dz_a * outer(drho) / r - level * outer(v))
+    contribs = term * densities.bin_width
+    return InformationResult(matrix=contribs.sum(axis=0), route="formula",
                              bin_contributions=contribs,
-                             rho_zero_bins=rho_zero_bins,
+                             rho_zero_bins=np.flatnonzero(~live).tolist(),
                              meta={"sup_rho": sup_rho,
                                    "z_margin": densities.z_max - sup_rho})
 
@@ -259,55 +261,46 @@ def information_matrix_mc(model: DiffusionModel, sigma_star, grid_generator,
 
 
 def identifiability_profile(model: DiffusionModel, sigma_star, densities:
-                            TraceDensities, sigma_list, coeff_path="constant",
-                            rho_nodes=21):
+                            TraceDensities, sigma_list, coeff_path="constant"):
     """Diagnostic contrast functional over a parameter list.
 
     Evaluates, for each trial parameter, the limit of the scaled
     quasi-log-likelihood difference from the true parameter; it is zero at
     the truth and strictly negative elsewhere exactly when the model is
-    identifiable on the scheme.  Diagnostics only: nothing on the
-    estimation path consumes it.
+    identifiable on the scheme.  Its correlation integral uses 21
+    Gauss-Legendre nodes, and a correlation of magnitude up to ``1e-12``
+    counts as zero.  Diagnostics only: nothing on the estimation path
+    consumes it.
     """
-    sigma_star = np.asarray(sigma_star, dtype=float)
-    edges = densities.bin_edges
-    t_left = edges[:-1]
-    width = densities.bin_width
-    states = _states_at(coeff_path, t_left, model.y0)
-    xi, wi = leggauss(rho_nodes)
+    model.require_in_box(sigma_star)
+    n1s, n2s, rho_star = _bin_geometry(model, sigma_star, densities,
+                                       coeff_path)
+    a0 = densities.a_bins(0.0)
+    c0 = densities.c_bins(0.0)
+    xi, wi = leggauss(RHO_NODES)
 
     out = []
     for sigma in sigma_list:
-        sigma = np.asarray(sigma, dtype=float)
-        total = 0.0
-        for k in range(densities.bins):
-            t_eval = t_left[k] + 0.5 * width
-            n1s, n2s, rho_star = _coeff_geometry(model, t_left[k], states[k],
-                                                 sigma_star)
-            n1, n2, rho = _coeff_geometry(model, t_left[k], states[k], sigma)
-            B1 = n1s / n1
-            B2 = n2s / n2
-            a_r = densities.a(rho, t_eval)
-            c_r = densities.c(rho, t_eval)
-            a0 = densities.a(0.0, t_eval)
-            c0 = densities.c(0.0, t_eval)
-            val = (-0.5 * B1 * B1 * a_r - 0.5 * B2 * B2 * c_r
-                   + 0.5 * a0 + 0.5 * c0
-                   + a0 * np.log(B1) + c0 * np.log(B2))
-            if abs(rho) > 1e-12:
-                val += B1 * B2 * (a_r - a0) * rho_star / rho
-            # integral of (a(r) - a0)/r between the two correlations
-            lo, hi = rho_star, rho
-            if abs(hi - lo) > 1e-14:
-                nodes = lo + 0.5 * (xi + 1.0) * (hi - lo)
-                w = 0.5 * (hi - lo) * wi
-                vals = np.empty(rho_nodes)
-                for m, r in enumerate(nodes):
-                    if abs(r) < 1e-10:
-                        vals[m] = 0.0
-                    else:
-                        vals[m] = (densities.a(r, t_eval) - a0) / r
-                val += float(vals @ w)
-            total += val * width
-        out.append(total)
+        model.require_in_box(sigma)
+        n1, n2, rho = _bin_geometry(model, sigma, densities, coeff_path)
+        B1 = n1s / n1
+        B2 = n2s / n2
+        a_r = _at_rho(densities.a_bins, rho)
+        c_r = _at_rho(densities.c_bins, rho)
+        val = (-0.5 * B1 * B1 * a_r - 0.5 * B2 * B2 * c_r
+               + 0.5 * a0 + 0.5 * c0
+               + a0 * np.log(B1) + c0 * np.log(B2))
+        # flagged bins divide by inf, which drops their correlation term
+        r = np.where(np.abs(rho) > RHO_EPS, rho, np.inf)
+        val = val + B1 * B2 * (a_r - a0) * rho_star / r
+        # integral of (a(r) - a0)/r between the two correlations; dropped
+        # nodes read the cached a(0) and divide by inf
+        span = rho - rho_star
+        span = np.where(np.abs(span) > 1e-14, span, 0.0)[:, None]
+        nodes = rho_star[:, None] + 0.5 * (xi + 1.0) * span
+        drop = (span == 0.0) | (np.abs(nodes) < 1e-10)
+        vals = ((_at_rho(densities.a_bins, np.where(drop, 0.0, nodes))
+                 - a0[:, None]) / np.where(drop, np.inf, nodes))
+        val = val + (vals * (0.5 * span * wi)).sum(axis=1)
+        out.append(float((val * densities.bin_width).sum()))
     return np.asarray(out)

@@ -84,10 +84,12 @@ class DiffusionModel:
 
     def contains(self, sigma, tol=0.0):
         """Whether ``sigma``, one point or an ``(m, d)`` array of points,
-        lies in the box widened by ``tol``."""
+        lies in the box widened by ``tol``.  Raises unless the last axis
+        holds ``dim_param`` entries (a scalar holds one)."""
         sigma = np.asarray(sigma, dtype=float)
-        sigma = sigma.reshape(sigma.shape[:-1] + (self.dim_param,)
-                              if sigma.ndim > 1 else self.dim_param)
+        if (sigma.shape[-1:] or (1,)) != (self.dim_param,):
+            raise ParameterOutOfDomainError(
+                f"sigma={sigma.tolist()} is not of dim_param={self.dim_param}")
         lo, hi = self.param_box[:, 0], self.param_box[:, 1]
         return bool(np.all(sigma >= lo - tol) and np.all(sigma <= hi + tol))
 

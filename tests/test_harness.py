@@ -5,7 +5,7 @@ import json
 import pytest
 
 import nsvol.estimate as estimate
-from nsvol.errors import EstimationError
+from nsvol.errors import EstimationError, ParameterOutOfDomainError
 from nsvol.harness import (CSV_HEADER, ExperimentConfig, MonteCarloReport,
                            ReplicateRow, assert_thresholds, emit_report,
                            read_report_json, run_mc)
@@ -31,6 +31,22 @@ class TestConfig:
             ExperimentConfig.from_dict({"model": "bm1", "sigma_star": [1.0],
                                         "bn_ladder": [10], "replicates": 1,
                                         "bogus": 1})
+
+    def test_repeated_ladder_entry(self):
+        with pytest.raises(ValueError, match="bn_ladder entry 50 is <= 0 or repeats"):
+            ExperimentConfig(model="bm1", sigma_star=[1.0],
+                             bn_ladder=[50, 50], replicates=3)
+
+    def test_non_positive_ladder_entry(self):
+        with pytest.raises(ValueError, match="bn_ladder entry 0 is <= 0 or repeats"):
+            ExperimentConfig(model="bm1", sigma_star=[1.0], bn_ladder=[0],
+                             replicates=2)
+
+    def test_sigma_star_of_wrong_length(self):
+        # a single entry broadcasts against both box rows of corr
+        with pytest.raises(ParameterOutOfDomainError, match="dim_param=2"):
+            ExperimentConfig(model="corr", sigma_star=[0.5], bn_ladder=[50],
+                             replicates=2)
 
     def test_round_trip(self):
         cfg = ExperimentConfig(model="corr", sigma_star=[1.0, 0.4],

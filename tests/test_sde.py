@@ -70,6 +70,19 @@ class TestSimulatePath:
         with pytest.raises(ParameterOutOfDomainError):
             simulate_path(scalar_bm(), [99.0], uniform_grid(2, 2), seed=0)
 
+    def test_contains_rejects_wrong_length(self):
+        model = correlated_bm()
+        with pytest.raises(ParameterOutOfDomainError, match="dim_param=2"):
+            model.contains([0.5])
+        with pytest.raises(ParameterOutOfDomainError, match="dim_param=2"):
+            model.contains(np.ones((4, 3)))
+        assert model.contains(np.ones((4, 2)) * 0.5)
+        assert scalar_bm().contains(1.0)
+
+    def test_require_in_box_rejects_wrong_length(self):
+        with pytest.raises(ParameterOutOfDomainError, match="dim_param=1"):
+            scalar_bm().require_in_box([1.0, 1.0])
+
     def test_nonfinite_coefficients_error(self):
         def bad_diffusion(t, x, s):
             x = np.atleast_2d(x)
