@@ -1,4 +1,4 @@
-"""Scaling ladder of the scheme and likelihood kernels, written to
+"""Scaling ladder of the scheme, likelihood and Bayes kernels, written to
 ``BENCH_<commit>.json``.
 
 Run from the repository root:
@@ -8,17 +8,23 @@ Run from the repository root:
 BLAS and OpenMP pools are pinned to one thread before ``numpy`` is first
 imported, and the package is imported from ``src/``.  At each rung n of the
 ladder one Poisson grid is drawn (rates 1:1, horizon 1, ``bn = n``, seed 0)
-and five layers are timed, each as the median of three runs:
+and seven layers are timed, each as the median of three runs:
 ``theta_length_sums(p_max=2)``, ``check_a2``, ``resolvent_diag`` (z = 0.5,
-side 1), and ``QuasiLikEngine.loglik`` and ``gradient(method="analytic")`` of
+side 1), ``QuasiLikEngine.loglik`` and ``gradient(method="analytic")`` of
 ``corr`` at sigma* = (1, 0.5) on a sample simulated on the rung's grid
-(seed 1).  A layer's log-log slope is the least-squares slope of log(median
-seconds) against log(n) over the ladder.  The grid's interval counts, the
-half-bandwidth of the band ``resolvent_diag`` factors (``col_bandwidth``)
-and the half-bandwidth of the engine's Schur band (``schur_half_bandwidth``)
-are recorded beside the times.  The file is written next to this script,
-named after the commit checked out (``dirty`` records whether ``src/``
-differs from it).
+(seed 1), and ``bayes(engine)`` (uniform prior, the closed-form route) of
+``bm1`` at sigma* = 1 (seed 2) and of ``statedep`` at sigma* = (1, 1.5)
+(seed 3), each on its own sample simulated on the rung's grid; simulation
+and engine set-up are not timed.  A layer's log-log slope is the
+least-squares slope of log(median seconds) against log(n) over the ladder.
+The grid's interval counts, the half-bandwidth of the band
+``resolvent_diag`` factors (``col_bandwidth``), the half-bandwidth of the
+engine's Schur band (``schur_half_bandwidth``) and, per Bayes layer, the
+number of incomplete-gamma window integrals one estimate evaluates (its
+node count: 2 for ``bm1``, probes plus two orders per ``log t`` node for
+``statedep``) are recorded beside the times.  The file is written next to
+this script, named after the commit checked out (``dirty`` records whether
+``src/`` differs from it).
 """
 
 import os
@@ -43,13 +49,17 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from nsvol import models, scheme  # noqa: E402
+from nsvol import likelihood, models, scheme  # noqa: E402
+from nsvol.estimate import bayes  # noqa: E402
 from nsvol.likelihood import QuasiLikEngine  # noqa: E402
 from nsvol.sde import observe, simulate_path  # noqa: E402
 
 LADDER = (1_000, 4_000, 16_000, 100_000)
 REPEATS = 3
 SIGMA = (1.0, 0.5)
+#: Bayes layers: model, sigma* and path seed.
+BAYES = {"bayes_bm1": ("bm1", (1.0,), 2),
+         "bayes_statedep": ("statedep", (1.0, 1.5), 3)}
 
 
 def _git(*args):
@@ -66,11 +76,30 @@ def _median_seconds(fn):
     return statistics.median(times)
 
 
+def _window_integrals(engine):
+    """Incomplete-gamma window integrals one ``bayes(engine)`` evaluates,
+    counted by wrapping the module function it calls."""
+    sizes = []
+    inner = likelihood._log_window_integral
+
+    def counting(a, q, ua, ub):
+        sizes.append(np.broadcast(a, q, ua, ub).size)
+        return inner(a, q, ua, ub)
+
+    likelihood._log_window_integral = counting
+    try:
+        bayes(engine)
+    finally:
+        likelihood._log_window_integral = inner
+    return sum(sizes)
+
+
 def main():
     layers = {"theta_length_sums": [], "check_a2": [], "resolvent_diag": [],
-              "loglik": [], "gradient": []}
+              "loglik": [], "gradient": [], **{name: [] for name in BAYES}}
     counts = {"n_intervals1": [], "n_intervals2": [], "col_bandwidth": [],
-              "schur_half_bandwidth": []}
+              "schur_half_bandwidth": [],
+              **{f"{name}_window_integrals": [] for name in BAYES}}
     model = models.get_model("corr")
     sigma = np.array(SIGMA)
     for n in LADDER:
@@ -84,6 +113,13 @@ def main():
                     lambda: scheme.resolvent_diag(overlap, 0.5, 1),
                 "loglik": lambda: engine.loglik(sigma),
                 "gradient": lambda: engine.gradient(sigma, method="analytic")}
+        for name, (model_name, star, seed) in BAYES.items():
+            pure = models.get_model(model_name)
+            pure_engine = QuasiLikEngine(pure, observe(simulate_path(
+                pure, np.array(star), grid, seed=seed), grid))
+            runs[name] = lambda e=pure_engine: bayes(e)
+            counts[f"{name}_window_integrals"].append(
+                _window_integrals(pure_engine))
         for name, fn in runs.items():
             layers[name].append(_median_seconds(fn))
         counts["n_intervals1"].append(grid.n_intervals1)
@@ -122,6 +158,9 @@ def main():
     doc["layers"]["loglik"]["args"] = "model=corr, sigma=(1.0, 0.5), seed=1"
     doc["layers"]["gradient"]["args"] = (doc["layers"]["loglik"]["args"]
                                          + ", method=analytic")
+    for name, (model_name, star, seed) in BAYES.items():
+        doc["layers"][name]["args"] = (f"model={model_name}, sigma={star}, "
+                                       f"seed={seed}, prior=uniform")
     path = os.path.join(HERE, f"BENCH_{commit}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)

@@ -19,7 +19,10 @@ from .scheme import (check_a2, grid_from_spec, load_grid_csv, load_grid_json,
                      overlap_matrix, save_grid_json, theta_length_sums)
 from .sde import observe, read_sample_csv, sample_csv_text, simulate_path
 
-PRIORS = {"uniform": lambda s: 1.0}
+#: Priors of ``nsvol estimate --prior``; ``None`` is the uniform prior on
+#: the box, which lets ``bayes`` integrate a pure-scale model's scale out in
+#: closed form.
+PRIORS = {"uniform": None}
 
 
 def _parse_sigma(text):
@@ -193,7 +196,11 @@ def build_parser():
     p.add_argument("--model", required=True, choices=sorted(MODELS))
     p.add_argument("--prior", default="uniform", choices=sorted(PRIORS))
     p.add_argument("--no-bayes", action="store_true")
-    p.add_argument("--bayes-adaptive", action="store_true")
+    p.add_argument("--bayes-adaptive", action="store_true",
+                   help="adaptive Bayes panels instead of the fixed rule; "
+                        "applies only to a model without scales (corr), "
+                        "since the pure-scale models (bm1, statedep) take "
+                        "the closed form under the uniform prior")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_estimate)
 

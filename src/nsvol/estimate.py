@@ -3,9 +3,11 @@
 Provides the quasi-maximum-likelihood estimator (the closed-form argmax
 for a pure-scale model, otherwise multi-start simplex over the closed
 parameter box, then coordinate polish), the Bayes-type estimator (posterior
-mean under a bounded prior, computed by panelized Gauss-Legendre
-quadrature), the observed-information pair used for studentization, and the
-two covariation estimators that the efficiency comparison is built on.
+mean under a bounded prior: the scale integrated out in closed form for a
+pure-scale model under the uniform prior, otherwise panelized
+Gauss-Legendre quadrature), the observed-information pair used for
+studentization, and the two covariation estimators that the efficiency
+comparison is built on.
 """
 
 from __future__ import annotations
@@ -195,7 +197,8 @@ def _unit_tensor(m, d):
 
 class _Panel:
     """One quadrature box with stabilized weight sums; its nodes are scored
-    by one ``loglik_batch`` call."""
+    by one ``loglik_batch`` call.  ``prior=None`` is the uniform prior: the
+    node weights are used as they are."""
 
     __slots__ = ("lo", "hi", "hmax", "mass", "moment", "n_ok")
 
@@ -215,7 +218,8 @@ class _Panel:
             return
         self.hmax = float(vals[ok].max())
         pw = np.zeros_like(w)
-        pw[ok] = w[ok] * np.asarray([prior(p) for p in pts[ok]])
+        pw[ok] = w[ok] if prior is None else w[ok] * np.asarray(
+            [prior(p) for p in pts[ok]])
         expv = np.zeros_like(w)
         expv[ok] = np.exp(vals[ok] - self.hmax)
         self.mass = float(np.sum(pw * expv))
@@ -226,16 +230,29 @@ def bayes(engine: QuasiLikEngine, prior=None, *, nodes_per_dim=None,
           adaptive=None, top_mass=0.5, max_refine=64) -> np.ndarray:
     """Posterior-mean estimator under a bounded positive prior on the box.
 
-    Tensor-product Gauss-Legendre quadrature with exp-stabilization around
-    the running maximum.  With ``adaptive=True`` the panel holding most of
-    the posterior mass is recursively bisected (per dimension) until no
-    panel dominates, which resolves sharply peaked likelihoods without a
-    global fine grid; this is the default for three or more parameters.
-    Each panel scores its nodes with one ``engine.loglik_batch`` call: one
-    array expression for a pure-scale model, a node-by-node loop
-    otherwise.  Raises ``EstimationError`` when no node's covariance
-    factors.
+    ``prior=None`` is the uniform prior.  With it, a pure-scale model
+    (``engine.model.scales``) integrates the scale out in closed form
+    (``engine.scale_posterior_mean()``): exact for one shared scale, one
+    Gauss-Legendre rule in ``log(l1/l2)`` for two.  That route ignores
+    ``nodes_per_dim``, ``adaptive``, ``top_mass`` and ``max_refine``.
+
+    Any other prior or model takes tensor-product Gauss-Legendre
+    quadrature with exp-stabilization around the running maximum.  With
+    ``adaptive=True`` the panel holding most of the posterior mass is
+    recursively bisected (per dimension) until no panel dominates, which
+    resolves sharply peaked likelihoods without a global fine grid; this is
+    the default for three or more parameters.  Each panel scores its nodes
+    with one ``engine.loglik_batch`` call: one array expression for a
+    pure-scale model, a node-by-node loop otherwise.  Raises
+    ``EstimationError`` when no node's covariance factors (on the
+    closed-form route: when ``S(1)`` does not factor).
     """
+    if prior is None and engine.model.scales is not None:
+        try:
+            return engine.scale_posterior_mean()
+        except NotPositiveDefiniteError as exc:
+            raise EstimationError("no quadrature node produced a "
+                                  "factorizable covariance") from exc
     d = engine.model.dim_param
     box = engine.model.param_box
     if adaptive is None:
@@ -245,8 +262,6 @@ def bayes(engine: QuasiLikEngine, prior=None, *, nodes_per_dim=None,
             nodes_per_dim = 41
         else:
             nodes_per_dim = {1: 15, 2: 9}.get(d, 7)
-    if prior is None:
-        prior = lambda s: 1.0  # noqa: E731 - uniform reference prior
 
     panels = [_Panel(engine, prior, box[:, 0].copy(), box[:, 1].copy(),
                      nodes_per_dim)]

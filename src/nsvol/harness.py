@@ -43,7 +43,13 @@ CSV_HEADER = ("rep,n,coord,sigma_hat,sigma_tilde,gamma_n,score_n,hy,plugin,"
 
 @dataclass
 class ExperimentConfig:
-    """Configuration of one Monte Carlo experiment."""
+    """Configuration of one Monte Carlo experiment.
+
+    ``bayes_adaptive`` and ``bayes_nodes`` are ``bayes``'s ``adaptive`` and
+    ``nodes_per_dim``.  They apply only to a model without ``scales``
+    (``corr``): the pure-scale models (``bm1``, ``statedep``) take the
+    closed-form posterior mean under the uniform prior.
+    """
 
     model: str
     sigma_star: list

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import CoverageError, SchemeError
+from .errors import CoverageError, ParameterOutOfDomainError, SchemeError
 from .likelihood import QuasiLikEngine
 from .scheme import overlap_matrix, resolvent_diag
 from .sde import DiffusionModel, observe, simulate_path
@@ -157,13 +157,26 @@ def _states_at(coeff_path, times, y0):
 
 def _bin_geometry(model, sigma, densities, coeff_path):
     """(|b1|, |b2|, rho) at the left point of every bin, from one
-    coefficient evaluation."""
+    coefficient evaluation.
+
+    Raises ``ParameterOutOfDomainError`` when a diffusion row has zero
+    norm, since its correlation is then undefined.
+    """
     t_left = densities.bin_edges[:-1]
+    sigma = np.asarray(sigma, dtype=float)
     b1, b2 = model.coeff_rows(t_left, _states_at(coeff_path, t_left, model.y0),
-                              np.asarray(sigma, dtype=float))
+                              sigma)
     # row-wise dot products, rounded as a 1-d ``u @ v`` is
     s11, s22, s12 = ((u[:, None, :] @ v[:, :, None])[:, 0, 0]
                      for u, v in ((b1, b1), (b2, b2), (b1, b2)))
+    for side, sq in ((1, s11), (2, s22)):
+        zero = np.flatnonzero(sq == 0.0)
+        if zero.size:
+            k = int(zero[0])
+            raise ParameterOutOfDomainError(
+                f"side-{side} diffusion row has zero norm at sigma = "
+                f"{sigma.tolist()}, first in bin {k} (left time "
+                f"{float(t_left[k])!r}); its correlation is undefined")
     n1 = np.sqrt(s11)
     n2 = np.sqrt(s22)
     return n1, n2, s12 / (n1 * n2)

@@ -37,7 +37,9 @@ with no factorization.  Its argmax over the box is a closed form too
 negated likelihood is strictly convex, so the stationary point is the
 answer when it lies in the box, and otherwise the best of the four edge
 minimizers, each the positive root of a quadratic clipped to its edge.
-The analytic gradient keeps the banded path.
+Its posterior mean under the uniform prior on the box
+(``QuasiLikEngine.scale_posterior_mean``) integrates the scale out with the
+incomplete gamma function.  The analytic gradient keeps the banded path.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from numpy.polynomial.legendre import leggauss
+from scipy.special import gammainc, gammaincc, gammaln
 
 from . import banded
 from .errors import EstimationError, NotPositiveDefiniteError
@@ -178,6 +182,134 @@ def _argmax_two_scales(q11, q12, q22, n1, n2, lo, hi):
     l1, l2 = np.array(cand).T
     best = int(np.argmin(_scale_objective(q11, q12, q22, n1, n2, l1, l2)))
     return np.array(cand[best])
+
+
+# Composite rule of the two-scale posterior mean in log t: a window where
+# the log-marginal lies within _WINDOW_NATS of its largest probed value,
+# split at the peak; each side holds _PANELS panels of a Gauss-Legendre
+# rule graded towards the peak, plus a cut at each kink of the integrand.
+_GL_NODES, _GL_WEIGHTS = leggauss(16)
+_PANELS = 3
+_BREAKS = np.linspace(0.0, 1.0, _PANELS + 1)
+_GRADE = 2
+_PROBES = 24
+_WINDOW_NATS = 40.0
+
+
+def _tail_series(a, x, upper):
+    """Series that scales an underflowing incomplete gamma function:
+    ``sum_k prod_(j<=k) (a - j)/x`` where ``upper`` (asymptotic) and
+    ``sum_k prod_(j<=k) x/(a + j)`` elsewhere.  Where the regularized
+    value underflows the ratios stay below one, so the terms fall
+    geometrically."""
+    ratio = np.where(upper, (a - 1.0) / x, x / (a + 1.0))
+    terms = np.log(1e-17) / np.log(min(ratio.max(), 1.0 - 1e-6))
+    k = np.arange(1, min(int(terms) + 2, 10_000))
+    a, x = a[:, None], x[:, None]
+    steps = np.where(upper[:, None], (a - k) / x, x / (a + k))
+    return 1.0 + np.cumprod(steps, axis=1).sum(axis=1)
+
+
+def _log_tail_integral(a, q, u, upper):
+    """``log`` of the integral of ``w^(2a-1) exp(-q w^2 / 2)`` over
+    ``w > u`` where ``upper`` and over ``0 < w < u`` elsewhere.
+
+    With ``x = q u^2 / 2`` it is ``1/2 (2/q)^a Gamma(a)`` times ``Q(a, x)``
+    or ``P(a, x)``.  Where those underflow the value is their leading term
+    times ``_tail_series``, in log space.
+    """
+    x = 0.5 * q * u * u
+    reg = np.empty(x.shape)
+    reg[upper] = gammaincc(a[upper], x[upper])
+    reg[~upper] = gammainc(a[~upper], x[~upper])
+    out = a * np.log(2.0 / q) - np.log(2.0) + gammaln(a) + np.log(reg)
+    tiny = reg < 1e-280
+    if tiny.any():
+        a, x, u, q, up = a[tiny], x[tiny], u[tiny], q[tiny], upper[tiny]
+        out[tiny] = (np.where(up, (2.0 * a - 2.0) * np.log(u) - np.log(q),
+                              2.0 * a * np.log(u) - np.log(2.0 * a))
+                     - x + np.log(_tail_series(a, x, up)))
+    return out
+
+
+def _log_window_integral(a, q, ua, ub):
+    """``log`` of the integral of ``u^(2a-1) exp(-q u^2 / 2)`` over
+    ``[ua, ub]``, elementwise over the broadcast arguments; ``-inf`` for an
+    empty window.
+
+    A window above the integrand's mode (``q ua^2 / 2 > a - 1``) is the
+    difference of two upper tails, any other the difference of two lower
+    tails, so the larger term never cancels to rounding.
+    """
+    a, q, ua, ub = np.broadcast_arrays(a, q, ua, ub)
+    upper = 0.5 * q * ua * ua > np.maximum(a - 1.0, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the near and the far end in one call
+        near, far = np.split(_log_tail_integral(
+            np.concatenate([a, a]), np.concatenate([q, q]),
+            np.concatenate([np.where(upper, ua, ub), np.where(upper, ub, ua)]),
+            np.concatenate([upper, upper])), 2)
+        return near + np.log1p(-np.exp(np.minimum(far - near, 0.0)))
+
+
+def _posterior_mean_two_scales(q11, q12, q22, n1, n2, lo, hi):
+    """Posterior mean ``(l1, l2)`` of the pure-scale likelihood with two
+    scales under the uniform prior on the box ``[lo, hi]``.
+
+    In ``u = 1/l1`` and ``t = l1/l2`` the posterior is proportional to
+    ``u^(N-3) t^(n2-2) exp(-u^2 q(t) / 2)`` with
+    ``q(t) = q11 + 2 q12 t + q22 t^2``, and the box becomes a ``u``-window
+    for each ``t``.  The ``u``-integrals of the mass and of both moments are
+    incomplete gamma functions (``_log_window_integral``); the ``log t``
+    integral is a composite Gauss-Legendre rule.  Its window holds the
+    marginal within ``_WINDOW_NATS`` of its largest value, found by probes
+    at geometric distances from the box-constrained argmax; the panels are
+    graded towards that peak (a box corner pins the mass within a layer
+    much thinner than the window) and cut where the ``u``-window's ends
+    switch between box edges.
+    """
+    (lo1, lo2), (hi1, hi2) = lo, hi
+    a0, a1 = 0.5 * (n1 + n2 - 2), 0.5 * (n1 + n2 - 3)
+
+    def log_marginal(s, a):
+        t = np.exp(s)
+        ua = np.maximum(1.0 / hi1, 1.0 / (t * hi2))
+        ub = np.minimum(1.0 / lo1, 1.0 / (t * lo2))
+        return (n2 - 1) * s + _log_window_integral(
+            a, q11 + (2.0 * q12 + q22 * t) * t, ua, ub)
+
+    smin, smax = np.log(lo1 / hi2), np.log(hi1 / lo2)
+    l1, l2 = _argmax_two_scales(q11, q12, q22, n1, n2, lo, hi)
+    peak = np.log(l1 / l2)
+    dist = (smax - smin) * 0.5 ** np.arange(_PROBES - 1, -1, -1.0)
+    sides = [np.clip(peak + sign * np.concatenate([[0.0], dist]), smin, smax)
+             for sign in (-1.0, 1.0)]
+    probed = np.split(log_marginal(np.concatenate(sides), a0), 2)
+    floor = max(v.max() for v in probed) - _WINDOW_NATS
+    kinks = np.log([lo1 / lo2, hi1 / hi2])
+    s, w = [], []
+    for pos, vals in zip(sides, probed):
+        inside = np.flatnonzero(vals >= floor)
+        if inside.size == 0:
+            continue
+        # the window ends at the first probe past the last one inside
+        span = pos[min(inside[-1] + 1, pos.size - 1)] - peak
+        if span == 0.0:
+            continue
+        rel = (kinks - peak) / span
+        breaks = np.sort(np.concatenate(
+            [_BREAKS, rel[(rel > 0) & (rel < 1)] ** (1 / _GRADE)]))
+        half = 0.5 * np.diff(breaks)
+        y = ((breaks[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
+        s.append(peak + span * y ** _GRADE)
+        w.append(abs(span) * _GRADE * y ** (_GRADE - 1)
+                 * (half[:, None] * _GL_WEIGHTS).ravel())
+    s, w = np.concatenate(s), np.concatenate(w)
+    mass, moment = log_marginal(s, np.array([[a0], [a1]]))
+    top = mass.max()
+    den = w @ np.exp(mass - top)
+    return np.array([w @ np.exp(moment - top),
+                     w @ np.exp(moment - s - top)]) / den
 
 
 def build_S(model: DiffusionModel, sigma, sample: NonsyncSample,
@@ -406,6 +538,42 @@ class QuasiLikEngine:
             sigma[i1] = np.clip(np.sqrt(quad / (n1 + n2)), lo[i1], hi[i1])
         else:
             sigma[[i1, i2]] = _argmax_two_scales(
+                q11, q12, q22, n1, n2, lo[[i1, i2]], hi[[i1, i2]])
+        return sigma
+
+    def scale_posterior_mean(self):
+        """Posterior mean of a pure-scale model under the uniform prior on
+        the box, with the scale integrated out in closed form.
+
+        In ``u = 1/l`` the ``u``-integral of ``u^(2a-1) exp(-q u^2 / 2)``
+        over the box is an incomplete gamma function of order ``a``.  With
+        one shared scale (``i1 == i2``, ``N = n1 + n2``) the mean is exact:
+        ``sqrt(Q/2) Gamma((N-2)/2) / Gamma((N-1)/2)`` times the ratio of the
+        box's regularized incomplete-gamma masses of those orders, with
+        ``Q = q11 + 2 q12 + q22``.  Two scales leave one integral over
+        ``log(l1/l2)``, done by ``_posterior_mean_two_scales``.  Raises
+        ``NotPositiveDefiniteError`` when ``S(1)`` does not factor.
+        """
+        if self._unit is None:
+            raise EstimationError(
+                "scale_posterior_mean needs a model with scales")
+        q11, q12, q22, _ = self._unit_or_raise()
+        i1, i2 = self.model.scales
+        n1, n2 = self.grid.n_intervals1, self.grid.n_intervals2
+        lo, hi = self.model.param_box[:, 0], self.model.param_box[:, 1]
+        # the orders (N-2)/2 (one scale) and (N-3)/2 (two) must be positive
+        if n1 + n2 < (3 if i1 == i2 else 4):
+            raise EstimationError(
+                f"the closed-form posterior mean needs more than {n1 + n2} "
+                "intervals")
+        sigma = np.empty(self.model.dim_param)
+        if i1 == i2:
+            moment, mass = _log_window_integral(
+                0.5 * np.array([n1 + n2 - 2, n1 + n2 - 1]),
+                q11 + 2.0 * q12 + q22, 1.0 / hi[i1], 1.0 / lo[i1])
+            sigma[i1] = np.exp(moment - mass)
+        else:
+            sigma[[i1, i2]] = _posterior_mean_two_scales(
                 q11, q12, q22, n1, n2, lo[[i1, i2]], hi[[i1, i2]])
         return sigma
 

@@ -132,11 +132,13 @@ class TestBayes:
         assert gaps[4000] < gaps[250]
 
     def test_adaptive_matches_fine_fixed_grid(self):
+        # an explicit flat prior keeps bm1 on the panel rules
         model = scalar_bm()
         g = uniform_grid(200, 200, 0.0, 1.0)
         engine = _engine(model, [1.0], g, seed=13)
-        fine = bayes(engine, nodes_per_dim=801, adaptive=False)
-        adapt = bayes(engine, adaptive=True)
+        flat = lambda s: 1.0  # noqa: E731
+        fine = bayes(engine, flat, nodes_per_dim=801, adaptive=False)
+        adapt = bayes(engine, flat, adaptive=True)
         assert adapt[0] == pytest.approx(fine[0], abs=2e-4)
 
     @pytest.mark.parametrize("factory,sigma", [
@@ -182,6 +184,105 @@ class TestBayes:
             with pytest.raises(EstimationError,
                                match="no quadrature node produced"):
                 bayes(engine, adaptive=adaptive)
+
+
+def _box_posterior_mean(engine, panels=400, nodes=10, chunk=400_000):
+    """Brute-force posterior mean under the uniform prior: a composite
+    Gauss-Legendre rule over the whole box, ``panels`` x ``nodes`` points
+    per axis, scored by ``loglik_batch`` in chunks of rows."""
+    xi, wi = np.polynomial.legendre.leggauss(nodes)
+    axes, weights = [], []
+    for lo, hi in engine.model.param_box:
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * np.diff(edges)
+        axes.append(((edges[:-1] + half)[:, None] + half[:, None] * xi).ravel())
+        weights.append((half[:, None] * wi).ravel())
+    top = engine.loglik(engine.scale_argmax())  # the largest value
+    if len(axes) == 1:
+        e = weights[0] * np.exp(engine.loglik_batch(axes[0][:, None]) - top)
+        return np.array([axes[0] @ e / e.sum()])
+    (x1, x2), (w1, w2) = axes, weights
+    den, num = 0.0, np.zeros(2)
+    rows = chunk // x2.size
+    for k in range(0, x1.size, rows):
+        pts = np.stack(np.meshgrid(x1[k:k + rows], x2, indexing="ij"),
+                       axis=-1).reshape(-1, 2)
+        e = (np.outer(w1[k:k + rows], w2).ravel()
+             * np.exp(engine.loglik_batch(pts) - top))
+        den += e.sum()
+        num += pts.T @ e
+    return num / den
+
+
+WIDE = dict(box=((0.05, 20.0), (0.05, 20.0)))
+
+
+class TestScalePosteriorMean:
+    """``bayes`` with the uniform prior on a pure-scale model: the scale
+    integrated out in closed form, against a brute-force quadrature."""
+
+    CASES = ([(scalar_bm, (), [1.0], n, (1.0, 1.0), None)
+              for n in (30, 150, 1000, 4000)]
+             + [(state_dependent, (), [1.0, 1.5], n, (1.0, 2.0), None)
+                for n in (30, 150, 1000, 4000)]
+             # a box corner cuts the posterior
+             + [(scalar_bm, (), [0.21], n, (1.0, 1.0), None)
+                for n in (30, 1000)]
+             + [(state_dependent, (), [0.42, 2.45], n, (1.0, 2.0), None)
+                for n in (30, 1000)]
+             # the peak sits on the kink of the corner (hi, hi)
+             + [(state_dependent, (), [2.45, 2.45], 150, (1.0, 2.0), WIDE)]
+             # the posterior lies far outside the box: the incomplete gamma
+             # functions underflow, and the mass sits in a corner layer
+             + [(scalar_bm, ((0.2, 0.5),), [2.5], 100, (1.0, 1.0),
+                 dict(box=((0.1, 5.0),))),
+                (scalar_bm, ((1.0, 1.5),), [0.3], 1000, (1.0, 1.0),
+                 dict(box=((0.1, 5.0),))),
+                (state_dependent, ((0.4, 0.5), (0.4, 0.5)), [1.0, 1.5], 150,
+                 (1.0, 2.0), WIDE),
+                (state_dependent, (), [0.2, 4.0], 150, (1.0, 2.0), WIDE)])
+
+    @pytest.mark.parametrize("factory,box,sigma,n,rates,data_box", CASES)
+    def test_matches_brute_force(self, factory, box, sigma, n, rates,
+                                 data_box):
+        model = factory(box=box) if box else factory()
+        data_model = factory(**data_box) if data_box else model
+        g = poisson_grid(*rates, 1.0, bn=n, seed=[n, 5])
+        sample = observe(simulate_path(data_model, sigma, g, seed=[n, 6]), g)
+        engine = QuasiLikEngine(model, sample)
+        got = bayes(engine)
+        ref = _box_posterior_mean(engine)
+        assert np.abs(got / ref - 1.0).max() <= 1e-8
+
+    def test_route_ignores_panel_options(self, monkeypatch):
+        model = state_dependent()
+        g = poisson_grid(1.0, 2.0, 1.0, bn=150, seed=1)
+        engine = _engine(model, [1.0, 1.5], g, seed=2)
+        expect = engine.scale_posterior_mean()
+
+        def refuse(points):
+            raise AssertionError("loglik_batch called")
+
+        monkeypatch.setattr(engine, "loglik_batch", refuse)
+        for opts in ({}, {"adaptive": True}, {"adaptive": False},
+                     {"nodes_per_dim": 3, "adaptive": True, "top_mass": 0.1}):
+            assert np.array_equal(bayes(engine, **opts), expect)
+
+    def test_needs_scales(self):
+        g = poisson_grid(1.0, 1.0, 1.0, bn=40, seed=1)
+        engine = _engine(correlated_bm(), [1.0, 0.5], g)
+        with pytest.raises(EstimationError, match="needs a model with scales"):
+            engine.scale_posterior_mean()
+
+    def test_uniform_prior_panel_is_bit_identical(self):
+        model = correlated_bm()
+        g = poisson_grid(1.0, 2.0, 1.0, bn=60, seed=3)
+        engine = _engine(model, [1.0, 0.5], g, seed=4)
+        lo, hi = model.param_box[:, 0], 0.5 * model.param_box.sum(axis=1)
+        none = _Panel(engine, None, lo, hi, 9)
+        flat = _Panel(engine, lambda s: 1.0, lo, hi, 9)
+        assert none.mass == flat.mass and none.hmax == flat.hmax
+        assert np.array_equal(none.moment, flat.moment)
 
 
 class TestObservedInfo:

@@ -272,6 +272,17 @@ class TestInformationFormula:
         with pytest.raises(CoverageError):
             information_matrix(model, [1.0], dens)
 
+    def test_zero_norm_row_refused(self):
+        # a zero side-1 row leaves rho = 0/0; both routes through the bin
+        # geometry refuse it, naming the side, the bin, its time and sigma
+        model = make_constant_model([[0.0, 0.0], [0.3, 0.9]])
+        dens = trace_densities([uniform_grid(16, 16, 0.0, 1.0)], bins=4)
+        match = r"side-1 .* sigma = \[1\.0\], first in bin 0 \(left time 0\.0\)"
+        with pytest.raises(ParameterOutOfDomainError, match=match):
+            information_matrix(model, [1.0], dens)
+        with pytest.raises(ParameterOutOfDomainError, match=match):
+            identifiability_profile(model, [1.0], dens, [[2.0]])
+
     def test_bin_contributions_sum(self):
         model = correlated_bm()
         grids = [poisson_grid(1.0, 1.0, 1.0, bn=100, seed=s) for s in range(3)]
