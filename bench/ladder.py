@@ -25,6 +25,10 @@ node count: 2 for ``bm1``, probes plus two orders per ``log t`` node for
 ``statedep``) are recorded beside the times.  The file is written next to
 this script, named after the commit checked out (``dirty`` records whether
 ``src/`` differs from it).
+
+Cold start is recorded too: ``COLD_RUNS`` fresh interpreters each time
+``import nsvol`` alone and read ``ru_maxrss`` right after it; the file keeps
+every run, their medians, and the ``scipy`` subpackages the import loaded.
 """
 
 import os
@@ -62,6 +66,21 @@ BAYES = {"bayes_bm1": ("bm1", (1.0,), 2),
          "bayes_statedep": ("statedep", (1.0, 1.5), 3)}
 
 
+COLD_RUNS = 5
+COLD_SCRIPT = """
+import json, resource, sys, time
+start = time.perf_counter()
+import nsvol
+seconds = time.perf_counter() - start
+print(json.dumps({
+    "import_s": seconds,
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "scipy": sorted({m.split(".")[1] for m in sys.modules
+                     if m.startswith("scipy.")
+                     and not m.split(".")[1].startswith("_")})}))
+"""
+
+
 def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -94,7 +113,26 @@ def _window_integrals(engine):
     return sum(sizes)
 
 
+def _cold_start():
+    """Medians over fresh interpreters of the ``import nsvol`` seconds and
+    of the peak resident memory after it, with every run kept."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", COLD_SCRIPT], env=env, capture_output=True,
+        text=True, check=True).stdout) for _ in range(COLD_RUNS)]
+    return {"runs": COLD_RUNS,
+            "import_s_median": statistics.median(r["import_s"] for r in runs),
+            "maxrss_mb_median": statistics.median(r["maxrss_mb"]
+                                                  for r in runs),
+            "import_s": [r["import_s"] for r in runs],
+            "maxrss_mb": [r["maxrss_mb"] for r in runs],
+            "scipy_subpackages": runs[0]["scipy"]}
+
+
 def main():
+    cold = _cold_start()
+    print(f"cold start: import nsvol {cold['import_s_median']:.3f} s, "
+          f"{cold['maxrss_mb_median']:.1f} MB", file=sys.stderr)
     layers = {"theta_length_sums": [], "check_a2": [], "resolvent_diag": [],
               "loglik": [], "gradient": [], **{name: [] for name in BAYES}}
     counts = {"n_intervals1": [], "n_intervals2": [], "col_bandwidth": [],
@@ -146,6 +184,7 @@ def main():
         "grid": "poisson_grid(1.0, 1.0, 1.0, bn=n, seed=0)",
         "ladder": list(LADDER),
         "repeats": REPEATS,
+        "cold_start": cold,
         "counts": counts,
         "layers": {
             name: {"median_s": secs,

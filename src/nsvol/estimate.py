@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import Bounds, minimize, minimize_scalar
 
 from .errors import EstimationError, NotPositiveDefiniteError
 from .likelihood import QuasiLikEngine
@@ -91,6 +90,10 @@ def _simplex_argmax(obj, box, starts, xtol, polish_sweeps):
     """``(x, -loglik(x))``: multi-start simplex (coarse tolerance) locates
     the basin; a tight simplex restart from the winner plus coordinate-wise
     bounded refinement sharpens the argmax to ``xtol``."""
+    # Local: scipy.optimize costs ~19 MB and ~0.1 s to import, and only
+    # models without ``scales`` reach this path.
+    from scipy.optimize import Bounds, minimize, minimize_scalar
+
     lo, hi = box[:, 0], box[:, 1]
     span = hi - lo
     best_x = None

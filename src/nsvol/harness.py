@@ -17,7 +17,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import EstimationError
 from .estimate import run_estimation
@@ -237,6 +236,9 @@ def _studentized(rows, estimate, sigma_star):
 
 def _normality_block(stud):
     """Per-coordinate KS against the standard normal plus mean/SE."""
+    # Local: scipy.stats costs ~22 MB and ~0.3 s to import, for this one call.
+    from scipy import stats
+
     reps, d = stud.shape
     block = {"replicates": reps, "ks_pvalue": [], "ks_stat": [],
              "mean": [], "mean_se": [], "abs_mean_within_3se": []}

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import CoverageError, ParameterOutOfDomainError, SchemeError
 from .likelihood import QuasiLikEngine
@@ -27,7 +26,6 @@ __all__ = [
     "trace_densities",
     "information_matrix",
     "information_matrix_mc",
-    "identifiability_profile",
 ]
 
 
@@ -139,7 +137,6 @@ class InformationResult:
 Z_STEP = 1e-4  # central step of the density's correlation slope
 SIGMA_STEP = 1e-6  # parameter step, relative to max(1, |sigma_j|)
 RHO_EPS = 1e-12  # smaller correlations count as zero
-RHO_NODES = 21  # Gauss-Legendre nodes of the profile's correlation integral
 
 
 def _states_at(coeff_path, times, y0):
@@ -271,49 +268,3 @@ def information_matrix_mc(model: DiffusionModel, sigma_star, grid_generator,
     se = draws.std(axis=0, ddof=1) / np.sqrt(replicates)
     return InformationResult(matrix=matrix, route="empirical", se=se,
                              meta={"replicates": replicates})
-
-
-def identifiability_profile(model: DiffusionModel, sigma_star, densities:
-                            TraceDensities, sigma_list, coeff_path="constant"):
-    """Diagnostic contrast functional over a parameter list.
-
-    Evaluates, for each trial parameter, the limit of the scaled
-    quasi-log-likelihood difference from the true parameter; it is zero at
-    the truth and strictly negative elsewhere exactly when the model is
-    identifiable on the scheme.  Its correlation integral uses 21
-    Gauss-Legendre nodes, and a correlation of magnitude up to ``1e-12``
-    counts as zero.  Diagnostics only: nothing on the estimation path
-    consumes it.
-    """
-    model.require_in_box(sigma_star)
-    n1s, n2s, rho_star = _bin_geometry(model, sigma_star, densities,
-                                       coeff_path)
-    a0 = densities.a_bins(0.0)
-    c0 = densities.c_bins(0.0)
-    xi, wi = leggauss(RHO_NODES)
-
-    out = []
-    for sigma in sigma_list:
-        model.require_in_box(sigma)
-        n1, n2, rho = _bin_geometry(model, sigma, densities, coeff_path)
-        B1 = n1s / n1
-        B2 = n2s / n2
-        a_r = _at_rho(densities.a_bins, rho)
-        c_r = _at_rho(densities.c_bins, rho)
-        val = (-0.5 * B1 * B1 * a_r - 0.5 * B2 * B2 * c_r
-               + 0.5 * a0 + 0.5 * c0
-               + a0 * np.log(B1) + c0 * np.log(B2))
-        # flagged bins divide by inf, which drops their correlation term
-        r = np.where(np.abs(rho) > RHO_EPS, rho, np.inf)
-        val = val + B1 * B2 * (a_r - a0) * rho_star / r
-        # integral of (a(r) - a0)/r between the two correlations; dropped
-        # nodes read the cached a(0) and divide by inf
-        span = rho - rho_star
-        span = np.where(np.abs(span) > 1e-14, span, 0.0)[:, None]
-        nodes = rho_star[:, None] + 0.5 * (xi + 1.0) * span
-        drop = (span == 0.0) | (np.abs(nodes) < 1e-10)
-        vals = ((_at_rho(densities.a_bins, np.where(drop, 0.0, nodes))
-                 - a0[:, None]) / np.where(drop, np.inf, nodes))
-        val = val + (vals * (0.5 * span * wi)).sum(axis=1)
-        out.append(float((val * densities.bin_width).sum()))
-    return np.asarray(out)

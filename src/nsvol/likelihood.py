@@ -55,7 +55,7 @@ from scipy.special import gammainc, gammaincc, gammaln
 
 from . import banded
 from .errors import EstimationError, NotPositiveDefiniteError
-from .scheme import OverlapMatrix, overlap_matrix
+from .scheme import OverlapMatrix, overlap_matrix, refuse_wide_band
 from .sde import DiffusionModel, NonsyncSample
 
 __all__ = [
@@ -372,6 +372,8 @@ class QuasiLikEngine:
         self._nA, self._nB = (n2, n1) if self._swap else (n1, n2)
         self._hw = (self.overlap.col_bandwidth if self._swap
                     else self.overlap.bandwidth)
+        # the Schur complement is banded on the smaller block B
+        refuse_wide_band(self.overlap, 1 if self._swap else 2)
         p1, p2, _, _ = _coeff_points(sample)
         self._points = (p1, p2)
         # coupling pattern ordered by A-row, B-columns ascending within it

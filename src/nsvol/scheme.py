@@ -8,8 +8,8 @@ deterministic uniform), builds the interval-overlap matrix
 
 where ``I_i`` and ``J_j`` are the half-open sampling intervals of the two
 grids, and computes the scheme-level quantities the estimation theory runs
-on: resolvent traces of ``G G*`` and ``G* G``, diagonal power traces,
-transfer-closure intervals, and interval-spacing regularity checks.
+on: resolvent traces of ``G G*`` and ``G* G``, transfer-closure lengths,
+and interval-spacing regularity checks.
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ __all__ = [
     "uniform_grid",
     "grid_from_spec",
     "overlap_matrix",
-    "operator_norm",
     "resolvent_trace",
-    "diag_power_traces",
-    "theta_interval",
     "theta_length_sums",
     "check_a2",
     "load_grid_json",
@@ -47,6 +44,10 @@ __all__ = [
 #: Default exponents for the spacing check; they satisfy the admissibility
 #: constraint (5*d1 + 4*d3) v (3*d1 + 2*d2 + 2*d3) v (3*d1/2 + 3*d2) < 1/2.
 DEFAULT_DELTAS = (0.05, 0.05, 0.05)
+
+#: Largest predicted footprint, in bytes, of one banded computation on a
+#: grid (``refuse_wide_band``).
+MAX_BAND_BYTES = 2 ** 30
 
 
 def _as_times(values, name):
@@ -136,10 +137,6 @@ class ObservationGrid:
     def mesh(self):
         """Maximum sampling-interval length over both grids."""
         return max(self.lengths1.max(), self.lengths2.max())
-
-    def count1(self, t):
-        """Number of component-1 observation times in (0, t]."""
-        return int(np.searchsorted(self.s_times[1:], t, side="right"))
 
     def active_intervals(self, t, side):
         """Number of sampling intervals meeting [0, t), for one side; an
@@ -266,11 +263,6 @@ class OverlapMatrix:
         """Maximum row-index span within a single column."""
         return int((self.col_last - self.col_first).max())
 
-    def row_entries(self, i):
-        """Column indices and values of row ``i`` (contiguous run)."""
-        lo, hi = self.csr.indptr[i], self.csr.indptr[i + 1]
-        return self.csr.indices[lo:hi], self.csr.data[lo:hi]
-
     def to_dense(self):
         return self.csr.toarray()
 
@@ -288,27 +280,44 @@ def overlap_matrix(grid: ObservationGrid) -> OverlapMatrix:
     return OverlapMatrix(grid)
 
 
-def operator_norm(overlap: OverlapMatrix, iters=80):
-    """Operator-norm estimate of G by power iteration on ``G G*``."""
-    n = overlap.rows
-    v = np.full(n, 1.0 / math.sqrt(n))
-    gram = overlap.gram(1)
-    lam = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return math.sqrt(lam)
+def refuse_wide_band(overlap, side):
+    """Raise ``SchemeError`` before a banded computation on ``side``'s block
+    would allocate more than ``MAX_BAND_BYTES``.
+
+    Each interval of the other side overlaps a contiguous run of ``L``
+    intervals of ``side``, and the longest run sets the half-bandwidth
+    ``hw = L - 1``.  The computation holds the ``sum L (L + 1) / 2`` entry
+    pairs of the runs (three 8-byte words each) and a band of ``(hw + 1) n``
+    8-byte entries.  Only the run bounds the overlap already holds are read.
+    """
+    first, last = ((overlap.col_first, overlap.col_last) if side == 1
+                   else (overlap.row_first, overlap.row_last))
+    runs = last - first + 1
+    pairs = int((runs * (runs + 1) // 2).sum())
+    k = int(np.argmax(runs))
+    hw = int(runs[k]) - 1
+    n = overlap.rows if side == 1 else overlap.cols
+    nbytes = 8 * (3 * pairs + (hw + 1) * n)
+    if nbytes > MAX_BAND_BYTES:
+        other, times = ((2, overlap.grid.t_times) if side == 1
+                        else (1, overlap.grid.s_times))
+        start, end = float(times[k]), float(times[k + 1])
+        raise SchemeError(
+            f"side-{other} interval {k} [{start}, {end}) overlaps {hw + 1} "
+            f"side-{side} intervals: predicted "
+            f"half-bandwidth {hw}, {pairs} entry pairs and {nbytes} bytes, "
+            f"past the limit of {MAX_BAND_BYTES} bytes")
 
 
 def resolvent_diag(overlap, z, side, upto=None):
     """Diagonal of ``(I - z^2 GG*)^{-1}`` (side 1) or the ``G*G`` analog.
 
     Only the first ``upto`` entries are returned when ``upto`` is given;
-    a negative ``upto`` raises ``ValueError``.
+    a negative ``upto`` or a side other than 1 and 2 raises ``ValueError``,
+    and a band past ``MAX_BAND_BYTES`` raises ``SchemeError``.
     """
+    if side not in (1, 2):
+        raise ValueError("side must be 1 or 2")
     if upto is not None and upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
     n = overlap.rows if side == 1 else overlap.cols
@@ -316,6 +325,7 @@ def resolvent_diag(overlap, z, side, upto=None):
         return np.ones(n if upto is None else min(upto, n))
     if abs(z) >= 1.0:
         raise SchemeError(f"|z| must be < 1, got {z}")
+    refuse_wide_band(overlap, side)
     # rows of G G* (columns of G* G) interact only within one column's
     # (row's) contiguous run, so that run's span bounds the bandwidth
     hw = overlap.col_bandwidth if side == 1 else overlap.bandwidth
@@ -348,24 +358,6 @@ def resolvent_trace(overlap: OverlapMatrix, z, t=None, side=1):
     return float(diag.sum())
 
 
-def diag_power_traces(overlap: OverlapMatrix, p, side=1):
-    """Diagonal of ``(G G*)^p`` (side 1) or ``(G* G)^p`` (side 2).
-
-    ``p = 0`` returns the all-ones vector.  Powers are accumulated by
-    repeated sparse multiplication.
-    """
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    n = overlap.rows if side == 1 else overlap.cols
-    if p == 0:
-        return np.ones(n)
-    gram = overlap.gram(side)
-    power = gram
-    for _ in range(p - 1):
-        power = (power @ gram).tocsr()
-    return np.asarray(power.diagonal())
-
-
 # ---------------------------------------------------------------------------
 # transfer closures
 # ---------------------------------------------------------------------------
@@ -382,31 +374,6 @@ def _expand_once(lo, hi, s, t):
         new_lo = np.minimum(new_lo, arr[i_left])
         new_hi = np.maximum(new_hi, arr[i_right + 1])
     return new_lo, new_hi
-
-
-def theta_interval(grid: ObservationGrid, p, l):
-    """Closure of one sampling interval under ``2p`` overlap transfers.
-
-    Index ``l`` runs over the combined interval list, side-1 intervals
-    first (``0 <= l < n_intervals1``) then side-2.  A transfer moves from
-    an interval to any interval of either grid with nonempty (half-open)
-    intersection; the union over all chains of ``2p`` transfers is again a
-    half-open interval, returned as ``(lo, hi)``.
-    """
-    n1 = grid.n_intervals1
-    n2 = grid.n_intervals2
-    if not 0 <= l < n1 + n2:
-        raise SchemeError(f"interval index {l} out of range [0, {n1 + n2})")
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    times, i = (grid.s_times, l) if l < n1 else (grid.t_times, l - n1)
-    lo, hi = times[i:i + 1], times[i + 1:i + 2]
-    for _ in range(2 * p):
-        new_lo, new_hi = _expand_once(lo, hi, grid.s_times, grid.t_times)
-        if new_lo[0] == lo[0] and new_hi[0] == hi[0]:
-            break
-        lo, hi = new_lo, new_hi
-    return lo[0], hi[0]
 
 
 def theta_length_sums(grid: ObservationGrid, p_max):

@@ -40,3 +40,20 @@ def sigma_free_model():
 def sample_with_values(grid, y1, y2):
     from nsvol.sde import NonsyncSample
     return NonsyncSample(grid, np.asarray(y1, float), np.asarray(y2, float))
+
+
+def halt_probe_grid(m):
+    """Side 1 uniform with ``m`` intervals (``m`` a multiple of 4); side 2,
+    the larger block, cuts each side-1 interval of [0, 1/4] and [3/4, 1]
+    in three and has one halt over [1/4, 3/4], which overlaps ``m/2``
+    side-1 intervals.  Every other side-2 interval overlaps one."""
+    from nsvol.scheme import ObservationGrid
+    s = np.arange(m + 1) / m
+
+    def thirds(times):
+        return (times[:-1, None]
+                + np.diff(times)[:, None] * [0.0, 1 / 3, 2 / 3]).ravel()
+
+    t = np.concatenate([thirds(s[:m // 4 + 1]), [0.25],
+                        thirds(s[3 * m // 4:]), [1.0]])
+    return ObservationGrid(s, t, 1.0, m + t.size - 1)

@@ -4,14 +4,67 @@ from numpy.polynomial.legendre import leggauss
 
 from nsvol.errors import (CoverageError, ParameterOutOfDomainError,
                           SchemeError)
-from nsvol.information import (InformationResult, TraceDensities, _states_at,
-                               identifiability_profile, information_matrix,
-                               information_matrix_mc, trace_densities)
+from nsvol.information import (RHO_EPS, InformationResult, TraceDensities,
+                               _at_rho, _bin_geometry, _states_at,
+                               information_matrix, information_matrix_mc,
+                               trace_densities)
 from nsvol.models import correlated_bm, scalar_bm, state_dependent
 from nsvol.scheme import poisson_grid, uniform_grid
 from nsvol.sde import DiffusionModel, simulate_path
 
 from conftest import make_constant_model
+
+
+# -- the contrast functional, deleted from the package because only tests
+# called it, kept verbatim as the oracle of the information's curvature
+
+RHO_NODES = 21  # Gauss-Legendre nodes of the profile's correlation integral
+
+
+def identifiability_profile(model: DiffusionModel, sigma_star, densities:
+                            TraceDensities, sigma_list, coeff_path="constant"):
+    """Diagnostic contrast functional over a parameter list.
+
+    Evaluates, for each trial parameter, the limit of the scaled
+    quasi-log-likelihood difference from the true parameter; it is zero at
+    the truth and strictly negative elsewhere exactly when the model is
+    identifiable on the scheme.  Its correlation integral uses 21
+    Gauss-Legendre nodes, and a correlation of magnitude up to ``1e-12``
+    counts as zero.  Diagnostics only: nothing on the estimation path
+    consumes it.
+    """
+    model.require_in_box(sigma_star)
+    n1s, n2s, rho_star = _bin_geometry(model, sigma_star, densities,
+                                       coeff_path)
+    a0 = densities.a_bins(0.0)
+    c0 = densities.c_bins(0.0)
+    xi, wi = leggauss(RHO_NODES)
+
+    out = []
+    for sigma in sigma_list:
+        model.require_in_box(sigma)
+        n1, n2, rho = _bin_geometry(model, sigma, densities, coeff_path)
+        B1 = n1s / n1
+        B2 = n2s / n2
+        a_r = _at_rho(densities.a_bins, rho)
+        c_r = _at_rho(densities.c_bins, rho)
+        val = (-0.5 * B1 * B1 * a_r - 0.5 * B2 * B2 * c_r
+               + 0.5 * a0 + 0.5 * c0
+               + a0 * np.log(B1) + c0 * np.log(B2))
+        # flagged bins divide by inf, which drops their correlation term
+        r = np.where(np.abs(rho) > RHO_EPS, rho, np.inf)
+        val = val + B1 * B2 * (a_r - a0) * rho_star / r
+        # integral of (a(r) - a0)/r between the two correlations; dropped
+        # nodes read the cached a(0) and divide by inf
+        span = rho - rho_star
+        span = np.where(np.abs(span) > 1e-14, span, 0.0)[:, None]
+        nodes = rho_star[:, None] + 0.5 * (xi + 1.0) * span
+        drop = (span == 0.0) | (np.abs(nodes) < 1e-10)
+        vals = ((_at_rho(densities.a_bins, np.where(drop, 0.0, nodes))
+                 - a0[:, None]) / np.where(drop, np.inf, nodes))
+        val = val + (vals * (0.5 * span * wi)).sum(axis=1)
+        out.append(float((val * densities.bin_width).sum()))
+    return np.asarray(out)
 
 
 # -- the per-bin formula route as it was before the array rewrite, kept

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
+from nsvol import scheme
 from nsvol.errors import (EstimationError, NotPositiveDefiniteError,
-                          ParameterOutOfDomainError)
+                          ParameterOutOfDomainError, SchemeError)
 from nsvol.estimate import qmle_detail
 from nsvol.likelihood import (QuasiLikEngine, _argmax_two_scales, build_S,
                               dense_quasi_loglik)
@@ -16,11 +17,38 @@ from nsvol.models import correlated_bm, scalar_bm, state_dependent
 from nsvol.scheme import ObservationGrid, poisson_grid, uniform_grid
 from nsvol.sde import observe, simulate_path
 
-from conftest import make_constant_model, sample_with_values
+from conftest import halt_probe_grid, make_constant_model, sample_with_values
 
 
 def _sample(model, sigma, grid, seed=0):
     return observe(simulate_path(model, sigma, grid, seed=seed), grid)
+
+
+class TestWideBandRefusal:
+    """The engine refuses a halt grid before it builds the pair index."""
+
+    def test_refused_past_the_limit(self):
+        g = halt_probe_grid(16000)
+        sample = sample_with_values(g, np.zeros(g.s_times.size),
+                                    np.zeros(g.t_times.size))
+        with pytest.raises(SchemeError, match=(
+                r"side-2 interval 12000 \[0.25, 0.75\) overlaps 8000 "
+                r"side-1 intervals: predicted half-bandwidth 7999, ")):
+            QuasiLikEngine(correlated_bm(), sample)
+
+    def test_prediction_matches_the_engine(self, monkeypatch):
+        model = correlated_bm()
+        sample = _sample(model, [1.0, 0.5], halt_probe_grid(400), seed=2)
+        engine = QuasiLikEngine(model, sample)
+        assert engine._swap and engine._hw == 199
+        nbytes = 8 * (3 * engine._p.size + engine._gram.size)
+        monkeypatch.setattr(scheme, "MAX_BAND_BYTES", nbytes - 1)
+        with pytest.raises(SchemeError, match=(
+                f"half-bandwidth 199, {engine._p.size} entry pairs and "
+                f"{nbytes} bytes")):
+            QuasiLikEngine(model, sample)
+        monkeypatch.setattr(scheme, "MAX_BAND_BYTES", nbytes)
+        QuasiLikEngine(model, sample)
 
 
 class TestBuildS:

@@ -1,17 +1,88 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsvol.cli import main
+from nsvol import scheme
 from nsvol.errors import SchemeError
-from nsvol.scheme import (ObservationGrid, check_a2, diag_power_traces,
-                          load_grid_csv, load_grid_json, operator_norm,
+from nsvol.scheme import (ObservationGrid, OverlapMatrix, _expand_once,
+                          check_a2, load_grid_csv, load_grid_json,
                           overlap_matrix, poisson_grid, resolvent_diag,
-                          resolvent_trace,
-                          save_grid_json, theta_interval, theta_length_sums,
+                          resolvent_trace, save_grid_json, theta_length_sums,
                           uniform_grid, validate_deltas)
+
+from conftest import halt_probe_grid
+
+
+# -- functions deleted from the package because only tests called them,
+# kept verbatim (the method ``OverlapMatrix.row_entries`` as a function)
+
+
+def row_entries(overlap, i):
+    """Column indices and values of row ``i`` (contiguous run)."""
+    lo, hi = overlap.csr.indptr[i], overlap.csr.indptr[i + 1]
+    return overlap.csr.indices[lo:hi], overlap.csr.data[lo:hi]
+
+
+def operator_norm(overlap: OverlapMatrix, iters=80):
+    """Operator-norm estimate of G by power iteration on ``G G*``."""
+    n = overlap.rows
+    v = np.full(n, 1.0 / math.sqrt(n))
+    gram = overlap.gram(1)
+    lam = 0.0
+    for _ in range(iters):
+        w = gram @ v
+        lam = float(np.linalg.norm(w))
+        if lam == 0.0:
+            return 0.0
+        v = w / lam
+    return math.sqrt(lam)
+
+
+def diag_power_traces(overlap: OverlapMatrix, p, side=1):
+    """Diagonal of ``(G G*)^p`` (side 1) or ``(G* G)^p`` (side 2).
+
+    ``p = 0`` returns the all-ones vector.  Powers are accumulated by
+    repeated sparse multiplication.
+    """
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    n = overlap.rows if side == 1 else overlap.cols
+    if p == 0:
+        return np.ones(n)
+    gram = overlap.gram(side)
+    power = gram
+    for _ in range(p - 1):
+        power = (power @ gram).tocsr()
+    return np.asarray(power.diagonal())
+
+
+def theta_interval(grid: ObservationGrid, p, l):
+    """Closure of one sampling interval under ``2p`` overlap transfers.
+
+    Index ``l`` runs over the combined interval list, side-1 intervals
+    first (``0 <= l < n_intervals1``) then side-2.  A transfer moves from
+    an interval to any interval of either grid with nonempty (half-open)
+    intersection; the union over all chains of ``2p`` transfers is again a
+    half-open interval, returned as ``(lo, hi)``.
+    """
+    n1 = grid.n_intervals1
+    n2 = grid.n_intervals2
+    if not 0 <= l < n1 + n2:
+        raise SchemeError(f"interval index {l} out of range [0, {n1 + n2})")
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    times, i = (grid.s_times, l) if l < n1 else (grid.t_times, l - n1)
+    lo, hi = times[i:i + 1], times[i + 1:i + 2]
+    for _ in range(2 * p):
+        new_lo, new_hi = _expand_once(lo, hi, grid.s_times, grid.t_times)
+        if new_lo[0] == lo[0] and new_hi[0] == hi[0]:
+            break
+        lo, hi = new_lo, new_hi
+    return lo[0], hi[0]
 
 
 def counterexample_grid(n, horizon=1.0):
@@ -53,7 +124,6 @@ class TestObservationGrid:
 
     def test_counting(self):
         g = uniform_grid(4, 4, 0.0, 1.0)
-        assert g.count1(0.5) == 2
         assert g.active_intervals(0.5, 1) == 2
         assert g.active_intervals(0.6, 1) == 3
         assert g.mesh == pytest.approx(0.25)
@@ -114,7 +184,7 @@ class TestOverlapMatrix:
             dense = ov.to_dense()
             assert dense[dense > 0].max() <= 1.0 + 1e-15
             for i in range(ov.rows):
-                cols, vals = ov.row_entries(i)
+                cols, vals = row_entries(ov, i)
                 assert np.all(vals > 0)
                 assert np.array_equal(cols, np.arange(cols[0], cols[-1] + 1))
 
@@ -125,7 +195,7 @@ class TestOverlapMatrix:
         l1 = np.diff(g.s_times)
         l2 = np.diff(g.t_times)
         for i in range(ov.rows):
-            cols, vals = ov.row_entries(i)
+            cols, vals = row_entries(ov, i)
             total = np.sum(vals * np.sqrt(l2[cols] / l1[i]))
             assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -162,6 +232,13 @@ class TestResolventTrace:
             with pytest.raises(ValueError, match="upto"):
                 resolvent_diag(ov, z, side, upto=-1)
 
+    @pytest.mark.parametrize("side", [0, 3, -1])
+    def test_diag_rejects_unknown_side(self, side):
+        ov = overlap_matrix(uniform_grid(4, 4, 0.0, 1.0))
+        for z in (0.0, 0.5):
+            with pytest.raises(ValueError, match="side must be 1 or 2"):
+                resolvent_diag(ov, z, side)
+
     def test_against_dense_oracle(self):
         g = poisson_grid(1.0, 1.4, 1.0, bn=90, seed=3)
         ov = overlap_matrix(g)
@@ -185,6 +262,40 @@ class TestResolventTrace:
                 t1 = resolvent_trace(ov, z, side=1) - ov.rows
                 t2 = resolvent_trace(ov, z, side=2) - ov.cols
                 assert t1 == pytest.approx(t2, abs=1e-10)
+
+
+class TestWideBandRefusal:
+    """A halt interval is refused before the band is allocated."""
+
+    def test_refused_past_the_limit(self):
+        # predicted 7 m^2 bytes: 1.8e9 at m = 16000, past the 2^30 limit
+        ov = overlap_matrix(halt_probe_grid(16000))
+        with pytest.raises(SchemeError) as err:
+            resolvent_diag(ov, 0.5, 1)
+        msg = str(err.value)
+        assert "side-2 interval 12000 [0.25, 0.75)" in msg
+        assert "overlaps 8000 side-1 intervals" in msg
+        assert "half-bandwidth 7999" in msg
+        assert f"past the limit of {scheme.MAX_BAND_BYTES} bytes" in msg
+        pairs = 8000 * 8001 // 2 + 24000  # the halt, then 24000 runs of 1
+        nbytes = 8 * (3 * pairs + 8000 * 16000)
+        assert f"{pairs} entry pairs and {nbytes} bytes" in msg
+
+    def test_below_the_limit_passes(self):
+        # 1.0e9 predicted bytes at m = 12000
+        ov = overlap_matrix(halt_probe_grid(12000))
+        assert scheme.refuse_wide_band(ov, 1) is None
+        assert scheme.refuse_wide_band(ov, 2) is None
+
+    def test_prediction_matches_the_band(self, monkeypatch):
+        ov = overlap_matrix(halt_probe_grid(400))
+        monkeypatch.setattr(scheme, "MAX_BAND_BYTES", 0)
+        with pytest.raises(SchemeError,
+                           match=f"half-bandwidth {ov.col_bandwidth},"):
+            resolvent_diag(ov, 0.5, 1)
+        with pytest.raises(SchemeError,
+                           match=f"half-bandwidth {ov.bandwidth},"):
+            resolvent_diag(ov, 0.5, 2)
 
 
 class TestDiagPowerTraces:
