@@ -14,15 +14,18 @@ side 1), ``QuasiLikEngine.loglik`` and ``gradient(method="analytic")`` of
 ``corr`` at sigma* = (1, 0.5) on a sample simulated on the rung's grid
 (seed 1), and ``bayes(engine)`` (uniform prior, the closed-form route) of
 ``bm1`` at sigma* = 1 (seed 2) and of ``statedep`` at sigma* = (1, 1.5)
-(seed 3), each on its own sample simulated on the rung's grid; simulation
-and engine set-up are not timed.  A layer's log-log slope is the
-least-squares slope of log(median seconds) against log(n) over the ladder.
+(seed 3), each on its own sample simulated on the rung's grid, and
+``bayes(engine)`` of ``corr`` on the ``loglik`` sample (no scales: the
+panel rule), on the rungs up to ``BAYES_CORR_MAX_N`` only; simulation and
+engine set-up are not timed.  A layer's log-log slope is the least-squares
+slope of log(median seconds) against log(n) over the rungs it was timed on.
 The grid's interval counts, the half-bandwidth of the band
 ``resolvent_diag`` factors (``col_bandwidth``), the half-bandwidth of the
 engine's Schur band (``schur_half_bandwidth``) and, per Bayes layer, the
 number of incomplete-gamma window integrals one estimate evaluates (its
 node count: 2 for ``bm1``, probes plus two orders per ``log t`` node for
-``statedep``) are recorded beside the times.  The file is written next to
+``statedep``) and the ``loglik`` calls of one ``corr`` Bayes estimate are
+recorded beside the times.  The file is written next to
 this script, named after the commit checked out (``dirty`` records whether
 ``src/`` differs from it).
 
@@ -64,6 +67,8 @@ SIGMA = (1.0, 0.5)
 #: Bayes layers: model, sigma* and path seed.
 BAYES = {"bayes_bm1": ("bm1", (1.0,), 2),
          "bayes_statedep": ("statedep", (1.0, 1.5), 3)}
+#: The ``corr`` Bayes layer (the panel rule) is timed on these rungs only.
+BAYES_CORR_MAX_N = 4_000
 
 
 COLD_RUNS = 5
@@ -113,6 +118,25 @@ def _window_integrals(engine):
     return sum(sizes)
 
 
+def _loglik_calls(engine):
+    """``loglik`` calls one ``bayes(engine)`` makes, counted by wrapping the
+    engine's bound method (``loglik_batch`` calls it node by node)."""
+    calls = 0
+    inner = engine.loglik
+
+    def counting(sigma):
+        nonlocal calls
+        calls += 1
+        return inner(sigma)
+
+    engine.loglik = counting
+    try:
+        bayes(engine)
+    finally:
+        del engine.loglik
+    return calls
+
+
 def _cold_start():
     """Medians over fresh interpreters of the ``import nsvol`` seconds and
     of the peak resident memory after it, with every run kept."""
@@ -134,10 +158,12 @@ def main():
     print(f"cold start: import nsvol {cold['import_s_median']:.3f} s, "
           f"{cold['maxrss_mb_median']:.1f} MB", file=sys.stderr)
     layers = {"theta_length_sums": [], "check_a2": [], "resolvent_diag": [],
-              "loglik": [], "gradient": [], **{name: [] for name in BAYES}}
+              "loglik": [], "gradient": [], **{name: [] for name in BAYES},
+              "bayes_corr": []}
     counts = {"n_intervals1": [], "n_intervals2": [], "col_bandwidth": [],
               "schur_half_bandwidth": [],
-              **{f"{name}_window_integrals": [] for name in BAYES}}
+              **{f"{name}_window_integrals": [] for name in BAYES},
+              "bayes_corr_loglik_calls": []}
     model = models.get_model("corr")
     sigma = np.array(SIGMA)
     for n in LADDER:
@@ -158,6 +184,9 @@ def main():
             runs[name] = lambda e=pure_engine: bayes(e)
             counts[f"{name}_window_integrals"].append(
                 _window_integrals(pure_engine))
+        if n <= BAYES_CORR_MAX_N:
+            runs["bayes_corr"] = lambda: bayes(engine)
+            counts["bayes_corr_loglik_calls"].append(_loglik_calls(engine))
         for name, fn in runs.items():
             layers[name].append(_median_seconds(fn))
         counts["n_intervals1"].append(grid.n_intervals1)
@@ -165,11 +194,10 @@ def main():
         counts["col_bandwidth"].append(overlap.col_bandwidth)
         # the engine keeps the half-bandwidth of the Schur band it factors
         counts["schur_half_bandwidth"].append(engine._hw)
-        print(f"n={n}: " + ", ".join(f"{name} {secs[-1] * 1e3:.2f} ms"
-                                    for name, secs in layers.items()),
+        print(f"n={n}: " + ", ".join(f"{name} {layers[name][-1] * 1e3:.2f} ms"
+                                    for name in runs),
               file=sys.stderr)
     commit = _git("rev-parse", "--short", "HEAD")
-    log_n = np.log(LADDER)
     doc = {
         "commit": commit,
         "dirty": bool(_git("status", "--porcelain", "--", "src")),
@@ -188,7 +216,8 @@ def main():
         "counts": counts,
         "layers": {
             name: {"median_s": secs,
-                   "loglog_slope": float(np.polyfit(log_n, np.log(secs), 1)[0])}
+                   "loglog_slope": float(np.polyfit(
+                       np.log(LADDER[:len(secs)]), np.log(secs), 1)[0])}
             for name, secs in layers.items()
         },
     }
@@ -200,6 +229,9 @@ def main():
     for name, (model_name, star, seed) in BAYES.items():
         doc["layers"][name]["args"] = (f"model={model_name}, sigma={star}, "
                                        f"seed={seed}, prior=uniform")
+    doc["layers"]["bayes_corr"]["args"] = (
+        doc["layers"]["loglik"]["args"] + ", prior=uniform, "
+        f"n <= {BAYES_CORR_MAX_N}")
     path = os.path.join(HERE, f"BENCH_{commit}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)

@@ -19,14 +19,14 @@ from .scheme import (check_a2, grid_from_spec, load_grid_csv, load_grid_json,
                      overlap_matrix, save_grid_json, theta_length_sums)
 from .sde import observe, read_sample_csv, sample_csv_text, simulate_path
 
-#: Priors of ``nsvol estimate --prior``; ``None`` is the uniform prior on
-#: the box, which lets ``bayes`` integrate a pure-scale model's scale out in
-#: closed form.
-PRIORS = {"uniform": None}
-
-
 def _parse_sigma(text):
-    return np.asarray([float(v) for v in text.split(",")], dtype=float)
+    """Parse a comma-separated parameter vector (the ``type`` of
+    ``--sigma`` and ``--sigma-star``)."""
+    try:
+        return np.asarray([float(v) for v in text.split(",")], dtype=float)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _parse_scheme(text):
@@ -70,7 +70,7 @@ def _emit(text, path):
 def _cmd_simulate(args):
     model = get_model(args.model)
     grid = _load_grid(args)
-    path = simulate_path(model, _parse_sigma(args.sigma), grid,
+    path = simulate_path(model, args.sigma, grid,
                          max_step=args.max_step, seed=[args.seed, 1])
     sample = observe(path, grid)
     if args.save_grid:
@@ -84,19 +84,13 @@ def _cmd_estimate(args):
     grid = _load_grid(args)
     sample = read_sample_csv(args.sample, grid)
     engine = QuasiLikEngine(model, sample)
-    outcome = run_estimation(
-        engine,
-        prior=PRIORS[args.prior],
-        do_bayes=not args.no_bayes,
-        bayes_opts={"adaptive": True} if args.bayes_adaptive else None,
-    )
+    outcome = run_estimation(engine, do_bayes=not args.no_bayes)
     _emit(json.dumps(outcome.to_dict(), indent=1, sort_keys=True), args.out)
     return 0
 
 
 def _cmd_info(args):
     model = get_model(args.model)
-    sigma_star = _parse_sigma(args.sigma_star)
 
     def generator(seed):
         return grid_from_spec(**args.scheme, n=args.n, horizon=args.horizon,
@@ -104,8 +98,8 @@ def _cmd_info(args):
 
     grids = [generator([args.seed, 10_000 + k]) for k in range(args.grids)]
     densities = trace_densities(grids, bins=args.bins)
-    formula = information_matrix(model, sigma_star, densities)
-    empirical = information_matrix_mc(model, sigma_star, generator,
+    formula = information_matrix(model, args.sigma_star, densities)
+    empirical = information_matrix_mc(model, args.sigma_star, generator,
                                       replicates=args.reps, seed=args.seed)
     doc = {
         "formula": formula.matrix.tolist(),
@@ -183,7 +177,8 @@ def build_parser():
     p = sub.add_parser("simulate", help="simulate a sample on a grid")
     add_grid_opts(p)
     p.add_argument("--model", required=True, choices=sorted(MODELS))
-    p.add_argument("--sigma", required=True, help="comma-separated parameter")
+    p.add_argument("--sigma", required=True, type=_parse_sigma,
+                   help="comma-separated parameter")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-step", type=float, default=None)
     p.add_argument("--save-grid", help="also write the grid JSON here")
@@ -194,19 +189,15 @@ def build_parser():
     add_grid_opts(p, with_scheme=False)
     p.add_argument("--sample", required=True, help="side,index,time,value CSV")
     p.add_argument("--model", required=True, choices=sorted(MODELS))
-    p.add_argument("--prior", default="uniform", choices=sorted(PRIORS))
     p.add_argument("--no-bayes", action="store_true")
     p.add_argument("--bayes-adaptive", action="store_true",
-                   help="adaptive Bayes panels instead of the fixed rule; "
-                        "applies only to a model without scales (corr), "
-                        "since the pure-scale models (bm1, statedep) take "
-                        "the closed form under the uniform prior")
+                   help="ignored: the Bayes estimator has one rule")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("info", help="limit information, both routes")
     p.add_argument("--model", required=True, choices=sorted(MODELS))
-    p.add_argument("--sigma-star", required=True)
+    p.add_argument("--sigma-star", required=True, type=_parse_sigma)
     p.add_argument("--scheme", type=_parse_scheme, required=True)
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--horizon", type=float, default=1.0)

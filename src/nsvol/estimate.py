@@ -37,6 +37,20 @@ __all__ = [
     "run_estimation",
 ]
 
+#: Simplex QMLE: the parameter tolerance of its tight restart and polish,
+#: and the number of coordinate-polish sweeps.
+QMLE_XTOL = 1e-8
+QMLE_POLISH_SWEEPS = 2
+#: Bayes panels: Gauss-Legendre nodes per axis by dimension (7 above two),
+#: the mass share above which the heaviest panel is bisected, and the cap on
+#: bisections.
+PANEL_NODES = {1: 15, 2: 9}
+PANEL_STOP_SHARE = 0.2
+PANEL_MAX_SPLITS = 64
+#: ``observed_info`` is positive definite only when its smallest eigenvalue
+#: clears this share of the largest.
+EIG_FLOOR = 1e-12
+
 
 @dataclass
 class QmleResult:
@@ -86,10 +100,10 @@ def _default_starts(box):
     return starts
 
 
-def _simplex_argmax(obj, box, starts, xtol, polish_sweeps):
+def _simplex_argmax(obj, box, starts):
     """``(x, -loglik(x))``: multi-start simplex (coarse tolerance) locates
     the basin; a tight simplex restart from the winner plus coordinate-wise
-    bounded refinement sharpens the argmax to ``xtol``."""
+    bounded refinement sharpens the argmax to ``QMLE_XTOL``."""
     # Local: scipy.optimize costs ~19 MB and ~0.1 s to import, and only
     # models without ``scales`` reach this path.
     from scipy.optimize import Bounds, minimize, minimize_scalar
@@ -110,16 +124,16 @@ def _simplex_argmax(obj, box, starts, xtol, polish_sweeps):
     if best_x is None or not np.isfinite(best_f):
         raise EstimationError("no start produced a factorizable covariance")
     res = minimize(obj, best_x, method="Nelder-Mead", bounds=Bounds(lo, hi),
-                   options={"xatol": 0.1 * xtol, "fatol": 1e-12,
+                   options={"xatol": 0.1 * QMLE_XTOL, "fatol": 1e-12,
                             "maxiter": 400 * box.shape[0]})
     if res.fun < best_f:
         best_f = res.fun
         best_x = np.clip(res.x, lo, hi)
 
     # Coordinate polish keeps ties deterministic and sharpens the simplex
-    # answer to the requested parameter tolerance.
+    # answer to the parameter tolerance.
     x = best_x.copy()
-    for _ in range(polish_sweeps):
+    for _ in range(QMLE_POLISH_SWEEPS):
         for j in range(box.shape[0]):
             def along(v, j=j):
                 p = x.copy()
@@ -128,33 +142,31 @@ def _simplex_argmax(obj, box, starts, xtol, polish_sweeps):
 
             res = minimize_scalar(along, bounds=(lo[j], hi[j]),
                                   method="bounded",
-                                  options={"xatol": 0.1 * xtol})
+                                  options={"xatol": 0.1 * QMLE_XTOL})
             if res.fun <= best_f:
                 best_f = res.fun
                 x[j] = res.x
     return x, best_f
 
 
-def qmle_detail(engine: QuasiLikEngine, starts=None, xtol=1e-8,
-                polish_sweeps=2) -> QmleResult:
+def qmle_detail(engine: QuasiLikEngine) -> QmleResult:
     """Maximize the quasi-log-likelihood over the closed parameter box.
 
-    A pure-scale model (``engine.model.scales``) takes the exact argmax
+    The starts are the box center and the near-face midpoints.  A
+    pure-scale model (``engine.model.scales``) takes the exact argmax
     ``engine.scale_argmax()``; the starts are only probed, so
-    ``n_evaluations`` counts the starts plus the argmax, and ``xtol`` and
-    ``polish_sweeps`` do not apply.  Any other model runs a multi-start
-    simplex (coarse tolerance) to locate the basin, then a tight simplex
-    restart from the winner plus coordinate-wise bounded refinement sharpen
-    the argmax to ``xtol``.  ``degenerate`` flags a likelihood whose values
-    at every evaluated point agree to 1e-9 relative.
+    ``n_evaluations`` counts the starts plus the argmax.  Any other model
+    runs a multi-start simplex (coarse tolerance) to locate the basin, then
+    a tight simplex restart from the winner plus coordinate-wise bounded
+    refinement sharpen the argmax to ``QMLE_XTOL``.  ``degenerate`` flags a
+    likelihood whose values at every evaluated point agree to 1e-9 relative.
     """
     box = engine.model.param_box
     lo, hi = box[:, 0], box[:, 1]
     obj = _Objective(engine)
-    if starts is None:
-        starts = _default_starts(box)
+    starts = _default_starts(box)
     if engine.model.scales is None:
-        x, best_f = _simplex_argmax(obj, box, starts, xtol, polish_sweeps)
+        x, best_f = _simplex_argmax(obj, box, starts)
     else:
         for x0 in starts:
             obj(np.clip(np.asarray(x0, dtype=float), lo, hi))
@@ -175,9 +187,9 @@ def qmle_detail(engine: QuasiLikEngine, starts=None, xtol=1e-8,
                       n_failures=obj.n_failures)
 
 
-def qmle(engine: QuasiLikEngine, **kwargs) -> np.ndarray:
+def qmle(engine: QuasiLikEngine) -> np.ndarray:
     """Quasi-maximum-likelihood estimate (argmax over the closed box)."""
-    return qmle_detail(engine, **kwargs).sigma
+    return qmle_detail(engine).sigma
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +211,16 @@ def _unit_tensor(m, d):
 
 
 class _Panel:
-    """One quadrature box with stabilized weight sums; its nodes are scored
-    by one ``loglik_batch`` call.  ``prior=None`` is the uniform prior: the
+    """One quadrature box with stabilized weight sums; its ``m`` nodes per
+    axis are scored by one ``loglik_batch`` call.  ``prior=None`` is the uniform prior: the
     node weights are used as they are."""
 
     __slots__ = ("lo", "hi", "hmax", "mass", "moment", "n_ok")
 
-    def __init__(self, engine, prior, lo, hi, nodes_per_dim):
+    def __init__(self, engine, prior, lo, hi, m):
         self.lo = lo
         self.hi = hi
-        nodes, wunit = _unit_tensor(nodes_per_dim, lo.size)
+        nodes, wunit = _unit_tensor(m, lo.size)
         pts = lo + nodes * (hi - lo)
         w = np.prod(0.5 * (hi - lo) * wunit, axis=-1)
         vals = engine.loglik_batch(pts)
@@ -229,25 +241,22 @@ class _Panel:
         self.moment = (pts * (pw * expv)[:, None]).sum(axis=0)
 
 
-def bayes(engine: QuasiLikEngine, prior=None, *, nodes_per_dim=None,
-          adaptive=None, top_mass=0.5, max_refine=64) -> np.ndarray:
+def bayes(engine: QuasiLikEngine, prior=None) -> np.ndarray:
     """Posterior-mean estimator under a bounded positive prior on the box.
 
     ``prior=None`` is the uniform prior.  With it, a pure-scale model
     (``engine.model.scales``) integrates the scale out in closed form
     (``engine.scale_posterior_mean()``): exact for one shared scale, one
-    Gauss-Legendre rule in ``log(l1/l2)`` for two.  That route ignores
-    ``nodes_per_dim``, ``adaptive``, ``top_mass`` and ``max_refine``.
+    Gauss-Legendre rule in ``log(l1/l2)`` for two.
 
-    Any other prior or model takes tensor-product Gauss-Legendre
-    quadrature with exp-stabilization around the running maximum.  With
-    ``adaptive=True`` the panel holding most of the posterior mass is
-    recursively bisected (per dimension) until no panel dominates, which
-    resolves sharply peaked likelihoods without a global fine grid; this is
-    the default for three or more parameters.  Each panel scores its nodes
-    with one ``engine.loglik_batch`` call: one array expression for a
-    pure-scale model, a node-by-node loop otherwise.  Raises
-    ``EstimationError`` when no node's covariance factors (on the
+    Any other prior or model takes panelized tensor-product Gauss-Legendre
+    quadrature (``PANEL_NODES`` per axis) with exp-stabilization around the
+    running maximum.  The panel holding the most posterior mass is bisected
+    along every axis until none holds more than ``PANEL_STOP_SHARE`` of it,
+    which resolves sharply peaked likelihoods without a global fine grid.
+    Each panel scores its nodes with one ``engine.loglik_batch`` call: one
+    array expression for a pure-scale model, a node-by-node loop otherwise.
+    Raises ``EstimationError`` when no node's covariance factors (on the
     closed-form route: when ``S(1)`` does not factor).
     """
     if prior is None and engine.model.scales is not None:
@@ -258,19 +267,10 @@ def bayes(engine: QuasiLikEngine, prior=None, *, nodes_per_dim=None,
                                   "factorizable covariance") from exc
     d = engine.model.dim_param
     box = engine.model.param_box
-    if adaptive is None:
-        adaptive = d >= 3
-    if nodes_per_dim is None:
-        if not adaptive and d <= 2:
-            nodes_per_dim = 41
-        else:
-            nodes_per_dim = {1: 15, 2: 9}.get(d, 7)
-
-    panels = [_Panel(engine, prior, box[:, 0].copy(), box[:, 1].copy(),
-                     nodes_per_dim)]
-    splits = 0
+    m = PANEL_NODES.get(d, 7)
+    panels = [_Panel(engine, prior, box[:, 0].copy(), box[:, 1].copy(), m)]
     min_width = 1e-10 * (box[:, 1] - box[:, 0]).max()
-    while adaptive and splits < max_refine:
+    for _ in range(PANEL_MAX_SPLITS):
         hmax = max(p.hmax for p in panels)
         if not np.isfinite(hmax):
             break
@@ -280,7 +280,7 @@ def bayes(engine: QuasiLikEngine, prior=None, *, nodes_per_dim=None,
         if total <= 0.0:
             break
         top = int(np.argmax(masses))
-        if masses[top] <= top_mass * total:
+        if masses[top] <= PANEL_STOP_SHARE * total:
             break
         parent = panels.pop(top)
         if (parent.hi - parent.lo).max() <= min_width:
@@ -295,8 +295,7 @@ def bayes(engine: QuasiLikEngine, prior=None, *, nodes_per_dim=None,
                     lo[j] = mids[j]
                 else:
                     hi[j] = mids[j]
-            panels.append(_Panel(engine, prior, lo, hi, nodes_per_dim))
-        splits += 1
+            panels.append(_Panel(engine, prior, lo, hi, m))
 
     hmax = max(p.hmax for p in panels)
     if not np.isfinite(hmax):
@@ -339,12 +338,12 @@ class ObservedInfo:
         return iter((self.gamma_n, self.score_n))
 
 
-def observed_info(engine: QuasiLikEngine, sigma, eig_floor=1e-12) -> ObservedInfo:
+def observed_info(engine: QuasiLikEngine, sigma) -> ObservedInfo:
     """Observed information pair at an interior parameter point.
 
     The square root uses a symmetric eigendecomposition; the positive
     definite branch is only taken when the smallest eigenvalue clears
-    ``eig_floor`` times the largest.
+    ``EIG_FLOOR`` times the largest.
     """
     sigma = np.asarray(sigma, dtype=float)
     d = sigma.size
@@ -352,7 +351,7 @@ def observed_info(engine: QuasiLikEngine, sigma, eig_floor=1e-12) -> ObservedInf
     grad = engine.gradient(sigma)
     info = -0.5 * (hess + hess.T)
     w, U = np.linalg.eigh(info)
-    pd = bool(w[0] > 0.0 and w[0] > eig_floor * max(w[-1], 0.0))
+    pd = bool(w[0] > 0.0 and w[0] > EIG_FLOOR * max(w[-1], 0.0))
     if pd:
         gamma_n = info / engine.grid.bn
         score_n = U @ ((U.T @ grad) / np.sqrt(w))
@@ -435,10 +434,10 @@ class EstimationOutcome:
         }
 
 
-def run_estimation(engine: QuasiLikEngine, prior=None, do_bayes=True,
-                   do_hy=True, info_sigma=None, bayes_opts=None
-                   ) -> EstimationOutcome:
-    """Estimate everything from one engine-wrapped sample.
+def run_estimation(engine: QuasiLikEngine, do_bayes=True, do_hy=True,
+                   info_sigma=None) -> EstimationOutcome:
+    """Estimate everything from one engine-wrapped sample, with the Bayes
+    estimator under the uniform prior.
 
     The observed information is evaluated at ``info_sigma`` when given
     (e.g. a known true parameter in simulations), else at the point
@@ -448,7 +447,7 @@ def run_estimation(engine: QuasiLikEngine, prior=None, do_bayes=True,
     detail = qmle_detail(engine)
     sigma_tilde = None
     if do_bayes:
-        sigma_tilde = bayes(engine, prior, **(bayes_opts or {}))
+        sigma_tilde = bayes(engine)
     box = engine.model.param_box
     if info_sigma is None:
         span = box[:, 1] - box[:, 0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -42,13 +43,7 @@ CSV_HEADER = ("rep,n,coord,sigma_hat,sigma_tilde,gamma_n,score_n,hy,plugin,"
 
 @dataclass
 class ExperimentConfig:
-    """Configuration of one Monte Carlo experiment.
-
-    ``bayes_adaptive`` and ``bayes_nodes`` are ``bayes``'s ``adaptive`` and
-    ``nodes_per_dim``.  They apply only to a model without ``scales``
-    (``corr``): the pure-scale models (``bm1``, ``statedep``) take the
-    closed-form posterior mean under the uniform prior.
-    """
+    """Configuration of one Monte Carlo experiment."""
 
     model: str
     sigma_star: list
@@ -62,16 +57,23 @@ class ExperimentConfig:
     seed: int = 0
     do_bayes: bool = False
     do_hy: bool = True
-    bayes_adaptive: bool = True
-    bayes_nodes: int = None
     max_step: float = None
     assertions: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if (isinstance(self.replicates, bool)
+                or not isinstance(self.replicates, numbers.Integral)):
+            raise ValueError(f"replicates must be an integer, got "
+                             f"{self.replicates!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.scheme not in ("poisson", "uniform"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not isinstance(self.bn_ladder, list) or any(
+                isinstance(n, bool) or not isinstance(n, numbers.Real)
+                for n in self.bn_ladder):
+            raise ValueError(f"bn_ladder must be a list of numbers, got "
+                             f"{self.bn_ladder!r}")
         for i, n in enumerate(self.bn_ladder):
             if not n > 0 or n in self.bn_ladder[:i]:
                 raise ValueError(f"bn_ladder entry {n!r} is <= 0 or repeats")
@@ -135,9 +137,7 @@ def _run_one(config: ExperimentConfig, model, sigma_star, nidx, n, rep):
         doc = run_estimation(
             QuasiLikEngine(model, observe(path, grid)),
             do_bayes=config.do_bayes, do_hy=config.do_hy,
-            info_sigma=sigma_star,
-            bayes_opts={"adaptive": config.bayes_adaptive,
-                        "nodes_per_dim": config.bayes_nodes or None}).to_dict()
+            info_sigma=sigma_star).to_dict()
         del doc["diagnostics"]
         row = ReplicateRow(n=n, rep=rep, hy=doc.pop("hy_covariation"),
                            plugin=doc.pop("plugin_covariation"), **doc)

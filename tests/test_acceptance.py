@@ -42,8 +42,7 @@ def _engine(model, sigma, grid, seed, **kw):
 @pytest.fixture(scope="module")
 def mc_scalar_1000():
     cfg = ExperimentConfig(model="bm1", sigma_star=[1.0], bn_ladder=[1000],
-                           replicates=1000, seed=2026, do_bayes=True,
-                           bayes_adaptive=True)
+                           replicates=1000, seed=2026, do_bayes=True)
     return run_mc(cfg)
 
 
@@ -51,7 +50,7 @@ def mc_scalar_1000():
 def mc_scalar_ladder():
     cfg = ExperimentConfig(model="bm1", sigma_star=[1.0],
                            bn_ladder=[250, 1000, 4000], replicates=200,
-                           seed=515, do_bayes=True, bayes_adaptive=True)
+                           seed=515, do_bayes=True)
     return run_mc(cfg)
 
 

@@ -61,6 +61,36 @@ class TestSimulateEstimate:
             main(["estimate", "--grid", str(grid_path), "--sample",
                   str(sample_path), "--model", model, "--no-bayes"])
 
+    @pytest.mark.parametrize("model,sigma", [("corr", "1.0,0.5"),
+                                             ("statedep", "1.0,1.5")])
+    def test_bayes_adaptive_is_ignored(self, tmp_path, capsys, model, sigma):
+        grid_path = tmp_path / "g.json"
+        sample_path = tmp_path / "s.csv"
+        run_cli(capsys, "simulate", "--scheme", "poisson:1,2", "--n", "60",
+                "--model", model, "--sigma", sigma, "--seed", "5",
+                "--save-grid", str(grid_path), "--out", str(sample_path))
+        texts = []
+        for flag in ([], ["--bayes-adaptive"]):
+            _, out = run_cli(capsys, "estimate", "--grid", str(grid_path),
+                             "--sample", str(sample_path), "--model", model,
+                             *flag)
+            doc = json.loads(out)
+            doc["diagnostics"].pop("wall_ms")
+            texts.append(json.dumps(doc, indent=1, sort_keys=True))
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scheme", "uniform:1,1", "--n", "8", "--model", "corr",
+         "--sigma", "1.0,x"],
+        ["info", "--model", "bm1", "--sigma-star", "one", "--scheme",
+         "poisson:1,1", "--n", "10"],
+    ])
+    def test_bad_sigma_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected comma-separated numbers" in capsys.readouterr().err
+
     def test_missing_grid_is_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--model", "bm1", "--sigma", "1.0"])

@@ -103,15 +103,13 @@ class TestBayes:
         g = uniform_grid(400, 400, 0.0, 1.0)
         engine = _engine(model, [1.0], g, seed=7)
         hat = qmle(engine)
-        spacing = (model.param_box[0, 1] - model.param_box[0, 0]) / 41
-        assert abs(bayes(engine)[0] - hat[0]) <= 10 * spacing
-        assert abs(bayes(engine, adaptive=True)[0] - hat[0]) <= 0.02
+        assert abs(bayes(engine)[0] - hat[0]) <= 0.02
 
     def test_in_box_hull(self):
         model = correlated_bm()
         g = poisson_grid(1.0, 1.0, 1.0, bn=60, seed=4)
         engine = _engine(model, [1.0, 0.3], g)
-        tilde = bayes(engine, adaptive=True)
+        tilde = bayes(engine)
         box = model.param_box
         assert np.all(tilde >= box[:, 0]) and np.all(tilde <= box[:, 1])
 
@@ -126,20 +124,19 @@ class TestBayes:
             for r in range(4):
                 g = poisson_grid(1.0, 1.0, 1.0, bn=n, seed=[n, r])
                 engine = _engine(model, [1.0], g, seed=[n, r, 9])
-                diffs.append(abs(bayes(engine, flat, adaptive=True)[0]
-                                 - bayes(engine, tilted, adaptive=True)[0]))
+                diffs.append(abs(bayes(engine, flat)[0]
+                                 - bayes(engine, tilted)[0]))
             gaps[n] = np.median(diffs)
         assert gaps[4000] < gaps[250]
 
-    def test_adaptive_matches_fine_fixed_grid(self):
-        # an explicit flat prior keeps bm1 on the panel rules
+    def test_panel_rule_matches_closed_form(self):
+        # an explicit flat prior keeps bm1 on the panel rule
         model = scalar_bm()
         g = uniform_grid(200, 200, 0.0, 1.0)
         engine = _engine(model, [1.0], g, seed=13)
-        flat = lambda s: 1.0  # noqa: E731
-        fine = bayes(engine, flat, nodes_per_dim=801, adaptive=False)
-        adapt = bayes(engine, flat, adaptive=True)
-        assert adapt[0] == pytest.approx(fine[0], abs=2e-4)
+        panels = bayes(engine, lambda s: 1.0)
+        assert panels[0] == pytest.approx(engine.scale_posterior_mean()[0],
+                                          rel=1e-8)
 
     @pytest.mark.parametrize("factory,sigma", [
         (state_dependent, [1.0, 1.5]), (scalar_bm, [1.0]),
@@ -180,10 +177,10 @@ class TestBayes:
         box = model.param_box
         panel = _Panel(engine, lambda s: 1.0, box[:, 0], box[:, 1], 15)
         assert panel.n_ok == 0 and panel.hmax == -np.inf
-        for adaptive in (False, True):
+        for prior in (None, lambda s: 1.0):  # closed form, then panels
             with pytest.raises(EstimationError,
                                match="no quadrature node produced"):
-                bayes(engine, adaptive=adaptive)
+                bayes(engine, prior)
 
 
 def _box_posterior_mean(engine, panels=400, nodes=10, chunk=400_000):
@@ -254,7 +251,7 @@ class TestScalePosteriorMean:
         ref = _box_posterior_mean(engine)
         assert np.abs(got / ref - 1.0).max() <= 1e-8
 
-    def test_route_ignores_panel_options(self, monkeypatch):
+    def test_route_scores_no_panel(self, monkeypatch):
         model = state_dependent()
         g = poisson_grid(1.0, 2.0, 1.0, bn=150, seed=1)
         engine = _engine(model, [1.0, 1.5], g, seed=2)
@@ -264,9 +261,7 @@ class TestScalePosteriorMean:
             raise AssertionError("loglik_batch called")
 
         monkeypatch.setattr(engine, "loglik_batch", refuse)
-        for opts in ({}, {"adaptive": True}, {"adaptive": False},
-                     {"nodes_per_dim": 3, "adaptive": True, "top_mass": 0.1}):
-            assert np.array_equal(bayes(engine, **opts), expect)
+        assert np.array_equal(bayes(engine), expect)
 
     def test_needs_scales(self):
         g = poisson_grid(1.0, 1.0, 1.0, bn=40, seed=1)
@@ -283,6 +278,44 @@ class TestScalePosteriorMean:
         flat = _Panel(engine, lambda s: 1.0, lo, hi, 9)
         assert none.mass == flat.mass and none.hmax == flat.hmax
         assert np.array_equal(none.moment, flat.moment)
+
+
+def _window_posterior(engine, panels=8, nodes=8, half=10.0):
+    """Brute-force posterior mean and sd under the uniform prior: a
+    composite Gauss-Legendre rule, ``panels`` x ``nodes`` points per axis,
+    over +-``half`` Hessian sd around the QMLE, clipped to the box."""
+    hat = qmle(engine)
+    sd = np.sqrt(np.diag(np.linalg.inv(-engine.hessian(hat))))
+    xi, wi = np.polynomial.legendre.leggauss(nodes)
+    axes, weights = [], []
+    for (lo, hi), c, s in zip(engine.model.param_box, hat, sd):
+        edges = np.linspace(max(lo, c - half * s), min(hi, c + half * s),
+                            panels + 1)
+        h = 0.5 * np.diff(edges)
+        axes.append(((edges[:-1] + h)[:, None] + h[:, None] * xi).ravel())
+        weights.append((h[:, None] * wi).ravel())
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
+        -1, len(axes))
+    w = np.prod(np.stack(np.meshgrid(*weights, indexing="ij"), axis=-1
+                         ).reshape(-1, len(axes)), axis=-1)
+    vals = engine.loglik_batch(pts)
+    e = w * np.exp(vals - vals.max())
+    mean = pts.T @ e / e.sum()
+    return mean, np.sqrt(((pts - mean) ** 2).T @ e / e.sum())
+
+
+class TestPanelPosteriorMean:
+    """``bayes`` on ``corr`` (no scales: the panel rule) against a
+    brute-force window quadrature, in posterior standard deviations."""
+
+    @pytest.mark.parametrize("n", [150, 1000])
+    @pytest.mark.parametrize("rep", [0, 1])
+    def test_corr_matches_brute_force(self, n, rep):
+        model = correlated_bm()
+        g = poisson_grid(1.0, 1.0, 1.0, bn=n, seed=[7, rep])
+        engine = _engine(model, [1.0, 0.5], g, seed=[8, rep])
+        ref, sd = _window_posterior(engine)
+        assert np.all(np.abs(bayes(engine) - ref) <= 0.05 * sd)
 
 
 class TestObservedInfo:
@@ -373,7 +406,7 @@ class TestRunEstimation:
         model = correlated_bm()
         g = poisson_grid(1.0, 1.0, 1.0, bn=150, seed=12)
         engine = _engine(model, [1.0, 0.5], g, seed=2)
-        out = run_estimation(engine, bayes_opts={"adaptive": True})
+        out = run_estimation(engine)
         assert out.sigma_hat.shape == (2,)
         assert out.sigma_tilde.shape == (2,)
         assert out.gamma_n.shape == (2, 2)

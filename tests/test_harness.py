@@ -42,6 +42,20 @@ class TestConfig:
             ExperimentConfig(model="bm1", sigma_star=[1.0], bn_ladder=[0],
                              replicates=2)
 
+    @pytest.mark.parametrize("replicates", [2.5, True, "3"])
+    def test_replicates_must_be_an_integer(self, replicates):
+        doc = {"model": "bm1", "sigma_star": [1.0], "bn_ladder": [50],
+               "replicates": replicates}
+        with pytest.raises(ValueError, match="replicates must be an integer"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("ladder", [100, [100, "200"], [True], None])
+    def test_bn_ladder_must_be_a_list_of_numbers(self, ladder):
+        doc = {"model": "bm1", "sigma_star": [1.0], "bn_ladder": ladder,
+               "replicates": 2}
+        with pytest.raises(ValueError, match="bn_ladder must be a list"):
+            ExperimentConfig.from_dict(doc)
+
     def test_sigma_star_of_wrong_length(self):
         # a single entry broadcasts against both box rows of corr
         with pytest.raises(ParameterOutOfDomainError, match="dim_param=2"):
