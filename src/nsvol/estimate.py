@@ -212,8 +212,8 @@ def _unit_tensor(m, d):
 
 class _Panel:
     """One quadrature box with stabilized weight sums; its ``m`` nodes per
-    axis are scored by one ``loglik_batch`` call.  ``prior=None`` is the uniform prior: the
-    node weights are used as they are."""
+    axis are scored by one ``loglik_batch`` call.  ``prior=None`` is the
+    uniform prior: the node weights are used as they are."""
 
     __slots__ = ("lo", "hi", "hmax", "mass", "moment", "n_ok")
 
